@@ -47,11 +47,10 @@
 //!   equality with the plain run asserted, Prometheus exposition
 //!   validated,
 //! * **city scale**: a ≥10⁴-device city (50 feeders × 8 homes × 26
-//!   devices on full runs) through the sharded shared-heap engine
-//!   ([`han_core::city`]) — shard-count invariance of the full report
-//!   and per-home digest equality with the one-engine-per-home
-//!   neighborhood path are asserted, devices simulated per second is
-//!   gated, and peak RSS (`VmHWM`) is recorded,
+//!   devices on full runs), every home run on the round loop and folded
+//!   into its feeder ([`han_core::city`]) — per-home digest equality
+//!   with the neighborhood path is asserted, devices simulated per
+//!   second is gated, and peak RSS (`VmHWM`) is recorded,
 //! * **multi-process city**: the same city as a supervised worker fleet
 //!   ([`han_core::city::mp`]) — this binary re-execs itself as workers
 //!   over `HANFAGG1` pipes. Worker-count invariance (W=1 vs W=4) and
@@ -59,7 +58,7 @@
 //!   devices/s floor is gated, and the parent's peak RSS is sampled
 //!   *before* the in-process city phase (`VmHWM` is monotonic) so the
 //!   supervisor-side memory footprint is visible next to the
-//!   shared-heap one.
+//!   in-process one.
 //!
 //! Run with: `cargo run --release -p han-bench --bin perf`
 //!
@@ -690,22 +689,18 @@ fn main() -> Result<(), ScenarioError> {
          (enabled {obs_enabled_s:.4}s vs disabled {obs_disabled_s:.4}s, ceiling {overhead_ceiling}%)"
     );
 
-    // City scale: the sharded shared-heap engine on the full city (50
-    // feeders × 8 homes × 26 devices = 10,400 devices on committed
-    // runs). Three gates before timing: (1) the report is identical at
-    // 1 shard and at the auto shard count — the shard-invariance half of
-    // the prop_city.rs contract; (2) every per-home digest equals the
-    // same home run through the one-engine-per-home neighborhood path —
-    // the shared-heap ≡ per-home half; (3) after timing, a deliberately
-    // low devices/s floor catches structural collapse (per-event
-    // allocation, quadratic shard fold) without flaking on shared
-    // runners.
+    // City scale: the full city (50 feeders × 8 homes × 26 devices =
+    // 10,400 devices on committed runs), every home on the round loop.
+    // Two gates: (1) before timing, every per-home digest equals the
+    // same home run through the neighborhood path — the prop_city.rs
+    // contract; (2) after timing, a deliberately low devices/s floor
+    // catches structural collapse (per-home allocation, quadratic fold)
+    // without flaking on shared runners.
     let city_spec = perf_city_spec(smoke);
     let city_feeders = city_spec.feeders;
     let city_hpf = city_spec.homes_per_feeder;
     let city_devices = city_spec.device_count();
     let city_homes = city_spec.home_count();
-    let city_shards = city_spec.effective_shards();
 
     // Multi-process city FIRST: `VmHWM` is monotonic, so the parent's
     // RSS with the heap pushed out to worker processes must be sampled
@@ -750,11 +745,6 @@ fn main() -> Result<(), ScenarioError> {
         city_mp_report, city_report,
         "the worker-fleet report diverged from the in-process run"
     );
-    let one_shard_report = City::new(city_spec.clone().with_shards(1))?.run()?;
-    assert_eq!(
-        city_report, one_shard_report,
-        "the city report changed between 1 and {city_shards} shards"
-    );
     let mut city_digests = city_report.home_digests.iter();
     for feeder in 0..city_feeders {
         let oracle = city_spec.feeder_neighborhood(feeder)?.run()?;
@@ -762,7 +752,7 @@ fn main() -> Result<(), ScenarioError> {
             let digest = city_digests.next().expect("digest per home");
             assert_eq!(
                 digest.coordinated, home.comparison.coordinated.outcome.schedule_digest,
-                "feeder {feeder}: shared-heap digest diverged from the neighborhood path"
+                "feeder {feeder}: city digest diverged from the neighborhood path"
             );
             assert_eq!(
                 digest.uncoordinated,
@@ -834,7 +824,7 @@ fn main() -> Result<(), ScenarioError> {
     println!("observability_exposition_samples,{exposition_samples}");
     println!(
         "city_wall_s,{city_s:.4} ({city_feeders} feeders x {city_hpf} homes = \
-         {city_devices} devices, {city_shards} shard(s))"
+         {city_devices} devices)"
     );
     println!("city_devices_per_sec,{city_devices_per_sec:.0}");
     println!("city_rounds_per_sec,{city_rounds_per_sec:.0}");
@@ -850,7 +840,7 @@ fn main() -> Result<(), ScenarioError> {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": 10,\n",
+            "  \"schema\": 11,\n",
             "  \"config\": {{\"devices\": 26, \"minutes\": {minutes}, \"rate_per_hour\": 30, \"cp\": \"ideal\"}},\n",
             "  \"rounds\": {rounds},\n",
             "  \"end_to_end\": {{\n",
@@ -947,12 +937,10 @@ fn main() -> Result<(), ScenarioError> {
             "    \"homes\": {city_homes},\n",
             "    \"devices\": {city_devices},\n",
             "    \"minutes\": {minutes},\n",
-            "    \"shards\": {city_shards},\n",
             "    \"wall_s\": {city_s:.6},\n",
             "    \"devices_per_sec\": {city_dps:.1},\n",
             "    \"rounds\": {city_rounds},\n",
             "    \"rounds_per_sec\": {city_rps:.1},\n",
-            "    \"shard_invariant\": true,\n",
             "    \"digest_identical_vs_neighborhood\": true,\n",
             "    \"peak_reduction_percent\": {city_red:.2},\n",
             "    \"coincidence_factor_coordinated\": {city_cf:.4},\n",
@@ -1031,7 +1019,6 @@ fn main() -> Result<(), ScenarioError> {
         city_hpf = city_hpf,
         city_homes = city_homes,
         city_devices = city_devices,
-        city_shards = city_shards,
         city_s = city_s,
         city_dps = city_devices_per_sec,
         city_rounds = city_report.rounds,

@@ -1,30 +1,22 @@
-//! City-scale simulation: feeders × homes on shared-heap shards.
+//! City-scale simulation: feeders × homes, each home run on its own and
+//! folded into its feeder.
 //!
 //! The paper evaluates one Home Area Network; the
 //! [`Neighborhood`](crate::neighborhood) layer scaled that to a street by
-//! running each home as its own simulation on its own engine. At city
-//! scale (thousands of feeders × tens of homes) one-engine-per-home stops
-//! being the right shape: this module runs **many homes on one shared
-//! [`han_sim`] engine per shard** — one binary heap, one clock,
-//! cross-home event interleaving through the same
-//! [`CpEvent`](crate::cp::event::CpEvent) taxonomy the single-home event
-//! backend uses, extended with a home-id tag (the crate-internal
-//! `shard` module).
+//! running each home as its own simulation. A city is the same thing at
+//! scale: homes share no radio and no clock, and are coupled only
+//! electrically, at the feeder sum. So every home runs on the
+//! synchronous round loop, in parallel with the others, and is folded
+//! into its feeder's [`FeederAggregate`] as soon as it finishes.
 //!
-//! Three properties make the scale-up safe, and the differential battery
-//! in `tests/prop_city.rs` pins each one:
+//! Two properties make the scale-up safe, and the differential battery
+//! in `tests/prop_city.rs` pins both:
 //!
-//! 1. **Shared-heap ≡ per-home.** Every home's event subsequence on the
-//!    shared heap fires in its solo order (engine FIFO tie-breaking) and
-//!    is dispatched by the *same* decision procedure
-//!    (`dispatch_cp_event`), so a city run is digest- and trace-identical
-//!    per home to the same homes run through [`Neighborhood::run`].
-//! 2. **Shard-count invariance.** Feeders are partitioned contiguously
-//!    across shards, each feeder folds into a self-delimiting
-//!    [`FeederAggregate`] record, and the reduction orders records by
-//!    feeder id before summing — so `--shards 1` and `--shards K`
-//!    produce byte-identical reports.
-//! 3. **Stable per-home seeds.** Home `i` of feeder `f` draws its
+//! 1. **City ≡ per-home.** Every home runs through the same
+//!    `compare_faulted` call [`Neighborhood::run`] makes, so a city run is
+//!    digest-identical per home to [`CitySpec::feeder_neighborhood`], and
+//!    each feeder's series is the same elementwise sum of its homes.
+//! 2. **Stable per-home seeds.** Home `i` of feeder `f` draws its
 //!    workload from `mix_seed(city_seed, home_id)` — a splitmix over the
 //!    *(seed, home-id)* pair, not a positional offset — so adding homes
 //!    or feeders never reshuffles another home's RNG stream (the latent
@@ -32,10 +24,10 @@
 //!    preserved there for digest compatibility and fixed here and in
 //!    [`Neighborhood::uniform_stable`]).
 //!
-//! No per-home trace is materialized at city scale: a shard folds each
-//! feeder's homes into one [`FeederAggregate`] (counters, the two
-//! per-minute series, per-home digests) and streams the encoded record
-//! up the feeder → substation → city tree (see [`tree`]).
+//! No per-home trace outlives its home: the fold keeps only counters,
+//! the two per-minute series, home peaks and digests, so memory grows
+//! with the homes running at once, not with the city. Feeder records
+//! then reduce up the feeder → substation → city tree (see [`tree`]).
 //!
 //! # Examples
 //!
@@ -60,7 +52,6 @@
 //! ```
 
 pub mod mp;
-pub(crate) mod shard;
 pub mod tree;
 
 use std::ops::Range;
@@ -68,54 +59,24 @@ use std::ops::Range;
 use crate::cp::event::EngineKind;
 use crate::cp::CpModel;
 use crate::experiment::{
-    build_simulation, collect_results, summarize_outcome, CostComparison, SAMPLE_INTERVAL,
+    collect_results, compare_faulted, Comparison, CostComparison, SAMPLE_INTERVAL,
 };
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::feeder::{FeederPolicy, FeederReport};
 use crate::neighborhood::{Home, Neighborhood};
-use crate::simulation::{Driver, Strategy};
 use han_metrics::stats::Summary;
 use han_metrics::tariff::Billing;
 use han_obs::{Counter, Gauge, Obs};
 use han_sim::rng::mix_seed;
-use han_sim::time::SimTime;
 use han_workload::fleet::ScenarioError;
 use han_workload::scenario::{Scenario, Workload};
 use rayon::prelude::*;
 
-use shard::{run_shard, HomeSlot};
 pub use tree::{AggregateWireError, FeederAggregate, HomeDigest, SubstationSummary};
-
-/// Shards used when [`CitySpec::shards`] is 0 (auto), capped by the
-/// feeder count. A fixed default — not the worker count — so a spec's
-/// partitioning (and therefore its shard-level obs metrics) does not
-/// depend on the machine it runs on; the report itself is
-/// shard-invariant either way.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// Feeders reporting to one substation when
 /// [`CitySpec::substation_fanin`] is 0 (auto).
 pub const DEFAULT_SUBSTATION_FANIN: usize = 8;
-
-/// Contiguous ranges partitioning `0..items` into `parts` pieces whose
-/// sizes differ by at most one — the single partition function shards
-/// *and* worker fleets share. A pure function of its two arguments:
-/// in-process shard partitioning and multi-process worker assignment
-/// both derive from it, which is what lets [`mp`] re-derive a worker's
-/// feeder range from `(spec, worker index, worker count)` alone.
-pub(crate) fn partition(items: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, items.max(1));
-    let base = items / parts;
-    let extra = items % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
 
 /// Specification of a city run: the grid shape, the workload mix, and
 /// the shared environment every home runs under.
@@ -123,7 +84,7 @@ pub(crate) fn partition(items: usize, parts: usize) -> Vec<Range<usize>> {
 pub struct CitySpec {
     /// Name used in reports.
     pub name: String,
-    /// Feeders in the city (the unit of shard partitioning).
+    /// Feeders in the city (the unit of worker partitioning).
     pub feeders: usize,
     /// Homes on each feeder.
     pub homes_per_feeder: usize,
@@ -140,10 +101,6 @@ pub struct CitySpec {
     /// City seed; per-home seeds derive from it via
     /// [`mix_seed`]`(seed, home_id)`.
     pub seed: u64,
-    /// Shards to partition feeders across; 0 means auto
-    /// (`min(feeders, `[`DEFAULT_SHARDS`]`)`). The report is identical
-    /// for every valid value — that is the headline contract.
-    pub shards: usize,
     /// Feeders per substation in the reduction tree; 0 means
     /// [`DEFAULT_SUBSTATION_FANIN`].
     pub substation_fanin: usize,
@@ -169,7 +126,6 @@ impl CitySpec {
             cp,
             faults: FaultPlan::empty(),
             seed: template.seed,
-            shards: 0,
             substation_fanin: 0,
         }
     }
@@ -178,13 +134,6 @@ impl CitySpec {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets an explicit shard count (builder-style).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -214,18 +163,10 @@ impl CitySpec {
     /// # Errors
     ///
     /// [`ScenarioError::EmptyCity`] for zero feeders, zero homes per
-    /// feeder or an empty template mix;
-    /// [`ScenarioError::TooManyShards`] when an explicit shard count
-    /// exceeds the feeder count (feeders are the partitioning unit).
+    /// feeder or an empty template mix.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.feeders == 0 || self.homes_per_feeder == 0 || self.templates.is_empty() {
             return Err(ScenarioError::EmptyCity);
-        }
-        if self.shards > self.feeders {
-            return Err(ScenarioError::TooManyShards {
-                shards: self.shards,
-                feeders: self.feeders,
-            });
         }
         Ok(())
     }
@@ -268,8 +209,8 @@ impl CitySpec {
     /// One feeder of the city as a plain [`Neighborhood`] — the
     /// equivalence oracle: running this through [`Neighborhood::run`]
     /// must reproduce the city run's per-home digests and the feeder's
-    /// aggregate series exactly. Homes run the event backend, as they do
-    /// on a shard.
+    /// aggregate series exactly. Homes run the round loop, as they do in
+    /// the city.
     ///
     /// # Errors
     ///
@@ -280,25 +221,11 @@ impl CitySpec {
         assert!(feeder < self.feeders, "feeder {feeder} out of range");
         let homes = (0..self.homes_per_feeder)
             .map(|slot| {
-                Home::with_engine(
-                    self.home_scenario(feeder, slot),
-                    self.cp.clone(),
-                    EngineKind::Event,
-                )
-                .with_faults(self.faults.clone())
+                Home::new(self.home_scenario(feeder, slot), self.cp.clone())
+                    .with_faults(self.faults.clone())
             })
             .collect();
         Neighborhood::new(format!("{}/f{feeder}", self.name), homes)
-    }
-
-    /// The shard count a run actually uses: the explicit setting, or
-    /// `min(feeders, `[`DEFAULT_SHARDS`]`)` for auto.
-    pub fn effective_shards(&self) -> usize {
-        if self.shards == 0 {
-            self.feeders.clamp(1, DEFAULT_SHARDS)
-        } else {
-            self.shards
-        }
     }
 
     /// The substation fan-in a run actually uses.
@@ -318,8 +245,7 @@ impl CitySpec {
     /// reducing mixed results.
     ///
     /// Deliberately **excludes** the report-shaping knobs that do not
-    /// change the records themselves: the display name, the shard
-    /// count (the report is shard-invariant by contract) and the
+    /// change the records themselves: the display name and the
     /// substation fan-in (a parent-side reduction detail).
     pub fn fingerprint(&self) -> u64 {
         // The same rotate-xor-multiply fold the checkpoint codec uses
@@ -383,20 +309,6 @@ impl CitySpec {
     }
 }
 
-/// What one shard hands back: its encoded feeder-aggregate stream plus
-/// the shard-level load figures the observability plane reports.
-struct ShardOutput {
-    /// Concatenated [`FeederAggregate`] records, feeder order within the
-    /// shard's contiguous range.
-    stream: Vec<u8>,
-    /// Homes this shard ran.
-    homes: u64,
-    /// Devices this shard ran.
-    devices: u64,
-    /// Communication rounds executed on this shard (coordinated runs).
-    rounds: u64,
-}
-
 /// A runnable city: a validated [`CitySpec`] plus an observability
 /// handle.
 #[derive(Debug, Clone)]
@@ -432,16 +344,8 @@ impl City {
         self
     }
 
-    /// Contiguous feeder ranges, one per shard, sizes differing by at
-    /// most one. Partitioning is a pure function of (feeders, shards) —
-    /// never of worker count — which the shard-invariance contract
-    /// depends on.
-    fn shard_ranges(&self) -> Vec<Range<usize>> {
-        partition(self.spec.feeders, self.spec.effective_shards())
-    }
-
-    /// Runs the city: shards in parallel, many homes per shared engine
-    /// within each shard, reduced through the feeder → substation → city
+    /// Runs the city: every home in parallel on the round loop, folded
+    /// into its feeder and reduced through the feeder → substation → city
     /// tree.
     ///
     /// # Errors
@@ -449,30 +353,10 @@ impl City {
     /// [`ScenarioError`] for the first invalid home scenario, in
     /// feeder/home order.
     pub fn run(&self) -> Result<CityReport, ScenarioError> {
-        let ranges = self.shard_ranges();
-        let outputs = collect_results(
-            ranges
-                .par_iter()
-                .map(|range| self.run_shard_range(range.clone()))
-                .collect(),
-        )?;
-
-        // Decode every shard's stream and order by feeder id: from here
-        // on, nothing remembers which shard ran which feeder.
-        let mut feeders: Vec<FeederAggregate> = Vec::with_capacity(self.spec.feeders);
-        for output in &outputs {
-            let mut rest = &output.stream[..];
-            while !rest.is_empty() {
-                let (agg, used) = FeederAggregate::decode(rest).expect("shard-local encode");
-                feeders.push(agg);
-                rest = &rest[used..];
-            }
-        }
-        feeders.sort_by_key(|f| f.feeder);
-
+        let feeders = self.run_feeders(0..self.spec.feeders)?;
         let report =
             CityReport::reduce(self.spec.name.clone(), feeders, self.spec.effective_fanin());
-        self.publish_obs(&outputs, &report);
+        self.publish_obs(&report);
         Ok(report)
     }
 
@@ -505,142 +389,94 @@ impl City {
         })
     }
 
-    /// Builds, runs and folds one shard's contiguous feeder range.
-    fn run_shard_range(&self, range: Range<usize>) -> Result<ShardOutput, ScenarioError> {
+    /// Runs every home of the feeder range in parallel and folds them,
+    /// in feeder/slot order, into one record per feeder — the one city
+    /// execution path, shared by [`City::run`] and [`mp::serve_worker`].
+    pub(crate) fn run_feeders(
+        &self,
+        feeders: Range<usize>,
+    ) -> Result<Vec<FeederAggregate>, ScenarioError> {
         let hpf = self.spec.homes_per_feeder;
-
-        // Two slots per home — uncoordinated then coordinated, the same
-        // pair `compare_faulted` runs — all on one shared heap.
-        let mut slots: Vec<HomeSlot<Driver>> = Vec::with_capacity(range.len() * hpf * 2);
-        let mut scenarios = Vec::with_capacity(range.len() * hpf);
-        for feeder in range.clone() {
-            for slot in 0..hpf {
-                let scenario = self.spec.home_scenario(feeder, slot);
-                for strategy in [Strategy::Uncoordinated, Strategy::coordinated()] {
-                    let mut sim = build_simulation(
-                        &scenario,
-                        strategy,
-                        self.spec.cp.clone(),
-                        EngineKind::Event,
-                        &self.spec.faults,
-                        None,
-                    )?;
-                    sim.set_reference_planning(false);
-                    let period = sim.config().round_period;
-                    // The same inclusive horizon the solo event backend
-                    // derives: the last round starts at the last period
-                    // boundary at or before the scenario end.
-                    let total = scenario.duration.as_micros() / period.as_micros() + 1;
-                    let end = (SimTime::ZERO + scenario.duration)
-                        .min(SimTime::ZERO + period * (total - 1));
-                    slots.push(HomeSlot {
-                        phases: Driver::new(sim),
-                        period,
-                        end,
-                    });
+        let homes: Vec<(usize, usize)> = feeders
+            .clone()
+            .flat_map(|feeder| (0..hpf).map(move |slot| (feeder, slot)))
+            .collect();
+        let homes = collect_results(
+            homes
+                .into_par_iter()
+                .map(|(feeder, slot)| self.run_home(feeder, slot))
+                .collect(),
+        )?;
+        let mut homes = homes.iter();
+        Ok(feeders
+            .map(|feeder| {
+                let mut agg = FeederAggregate::empty(feeder as u32);
+                for home in homes.by_ref().take(hpf) {
+                    agg.absorb(home);
                 }
-                scenarios.push(scenario);
-            }
-        }
-
-        let fired = run_shard(&mut slots);
-
-        // Fold the shard's homes into per-feeder aggregates; per-home
-        // traces die here.
-        let mut stream = Vec::new();
-        let mut shard = ShardOutput {
-            stream: Vec::new(),
-            homes: 0,
-            devices: 0,
-            rounds: 0,
-        };
-        let mut slots = slots.into_iter();
-        let mut fired = fired.into_iter();
-        let mut scenarios = scenarios.into_iter();
-        for feeder in range {
-            let mut agg = FeederAggregate {
-                feeder: feeder as u32,
-                homes: 0,
-                devices: 0,
-                rounds: 0,
-                deadline_misses: 0,
-                windows_served: 0,
-                divergent_rounds: 0,
-                energy_uncoordinated_kwh: 0.0,
-                energy_coordinated_kwh: 0.0,
-                sum_home_peaks_uncoordinated: 0.0,
-                sum_home_peaks_coordinated: 0.0,
-                samples_uncoordinated: Vec::new(),
-                samples_coordinated: Vec::new(),
-                home_digests: Vec::new(),
-            };
-            for slot in 0..hpf {
-                let scenario = scenarios.next().expect("one scenario per home");
-                let unco = slots
-                    .next()
-                    .expect("two slots per home")
-                    .phases
-                    .into_outcome(fired.next().expect("fired per slot"));
-                let coord = slots
-                    .next()
-                    .expect("two slots per home")
-                    .phases
-                    .into_outcome(fired.next().expect("fired per slot"));
-                let unco = summarize_outcome(unco, scenario.duration);
-                let coord = summarize_outcome(coord, scenario.duration);
-
-                agg.homes += 1;
-                agg.devices += scenario.device_count() as u32;
-                agg.rounds += coord.outcome.rounds;
-                agg.deadline_misses += u64::from(coord.outcome.deadline_misses);
-                agg.windows_served += u64::from(coord.outcome.windows_served);
-                agg.divergent_rounds += coord.outcome.divergent_rounds;
-                agg.energy_uncoordinated_kwh += unco.outcome.energy_kwh;
-                agg.energy_coordinated_kwh += coord.outcome.energy_kwh;
-                agg.sum_home_peaks_uncoordinated += unco.summary.peak;
-                agg.sum_home_peaks_coordinated += coord.summary.peak;
-                tree::sum_series(&mut agg.samples_uncoordinated, &unco.samples);
-                tree::sum_series(&mut agg.samples_coordinated, &coord.samples);
-                agg.home_digests.push(HomeDigest {
-                    home: self.spec.home_id(feeder, slot),
-                    uncoordinated: unco.outcome.schedule_digest,
-                    coordinated: coord.outcome.schedule_digest,
-                });
-            }
-            shard.homes += u64::from(agg.homes);
-            shard.devices += u64::from(agg.devices);
-            shard.rounds += agg.rounds;
-            agg.encode_into(&mut stream);
-        }
-        shard.stream = stream;
-        Ok(shard)
+                agg
+            })
+            .collect())
     }
 
-    /// Publishes run totals into the observability plane. Coherence
-    /// contract (asserted in `prop_obs.rs`): the sum of the per-shard
-    /// [`Counter::CityShardRounds`] increments equals the single
-    /// [`Counter::CityRounds`] increment.
-    fn publish_obs(&self, outputs: &[ShardOutput], report: &CityReport) {
+    /// Runs one home through the same `compare_faulted` call
+    /// [`Neighborhood::run`] makes and keeps only what its feeder record
+    /// needs, as a one-home record; the outcomes and their traces are
+    /// dropped here.
+    fn run_home(&self, feeder: usize, slot: usize) -> Result<FeederAggregate, ScenarioError> {
+        let scenario = self.spec.home_scenario(feeder, slot);
+        let Comparison {
+            uncoordinated: unco,
+            coordinated: coord,
+            ..
+        } = compare_faulted(
+            &scenario,
+            self.spec.cp.clone(),
+            EngineKind::Round,
+            &self.spec.faults,
+            None,
+        )?;
+        Ok(FeederAggregate {
+            feeder: feeder as u32,
+            homes: 1,
+            devices: scenario.device_count() as u32,
+            rounds: coord.outcome.rounds,
+            deadline_misses: u64::from(coord.outcome.deadline_misses),
+            windows_served: u64::from(coord.outcome.windows_served),
+            divergent_rounds: coord.outcome.divergent_rounds,
+            energy_uncoordinated_kwh: unco.outcome.energy_kwh,
+            energy_coordinated_kwh: coord.outcome.energy_kwh,
+            sum_home_peaks_uncoordinated: unco.summary.peak,
+            sum_home_peaks_coordinated: coord.summary.peak,
+            home_digests: vec![HomeDigest {
+                home: self.spec.home_id(feeder, slot),
+                uncoordinated: unco.outcome.schedule_digest,
+                coordinated: coord.outcome.schedule_digest,
+            }],
+            samples_uncoordinated: unco.samples,
+            samples_coordinated: coord.samples,
+        })
+    }
+
+    /// Publishes run totals into the observability plane: the city round
+    /// counter and the feeder imbalance gauge (mean over max devices per
+    /// feeder, permille; 1000 = every feeder carries the same load).
+    fn publish_obs(&self, report: &CityReport) {
         if !self.obs.enabled() {
             return;
         }
-        let mut max_homes = 0u64;
-        let mut max_devices = 0u64;
-        for shard in outputs {
-            self.obs.add(Counter::CityShardRounds, shard.rounds);
-            max_homes = max_homes.max(shard.homes);
-            max_devices = max_devices.max(shard.devices);
-        }
         self.obs.add(Counter::CityRounds, report.rounds);
-        self.obs.gauge_max(Gauge::CityShardHomes, max_homes);
-        // 1000 = perfectly balanced; lower = the largest shard carries
-        // proportionally more devices than the mean.
-        let k = outputs.len() as u64;
-        let total: u64 = outputs.iter().map(|s| s.devices).sum();
+        let max_devices = report
+            .feeders
+            .iter()
+            .map(|f| u64::from(f.devices))
+            .max()
+            .unwrap_or(0);
         if max_devices > 0 {
+            let k = report.feeders.len() as u64;
             self.obs.gauge(
                 Gauge::CityShardImbalancePermille,
-                (total * 1000) / (k * max_devices),
+                (report.devices as u64 * 1000) / (k * max_devices),
             );
         }
     }
@@ -649,8 +485,8 @@ impl City {
 /// The reduced outcome of a [`City::run`]: per-feeder aggregates,
 /// substation summaries, and the city-level series for both strategies.
 ///
-/// Contains nothing shard-dependent — two runs of the same spec with
-/// different shard counts compare equal.
+/// Contains nothing that depends on how the homes were run — the
+/// in-process run and every worker fleet compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CityReport {
     /// The city's name.
@@ -695,44 +531,27 @@ impl CityReport {
     /// Folds ordered feeder aggregates into the city report.
     fn reduce(name: String, feeders: Vec<FeederAggregate>, fanin: usize) -> Self {
         let substations = tree::reduce_substations(&feeders, fanin);
-        let mut unco = Vec::new();
-        let mut coord = Vec::new();
-        let mut home_digests = Vec::new();
-        let (mut homes, mut devices) = (0usize, 0usize);
-        let (mut rounds, mut misses, mut served, mut divergent) = (0u64, 0u64, 0u64, 0u64);
-        let (mut e_unco, mut e_coord) = (0.0f64, 0.0f64);
+        let mut city = FeederAggregate::empty(0);
         for f in &feeders {
-            tree::sum_series(&mut unco, &f.samples_uncoordinated);
-            tree::sum_series(&mut coord, &f.samples_coordinated);
-            homes += f.homes as usize;
-            devices += f.devices as usize;
-            rounds += f.rounds;
-            misses += f.deadline_misses;
-            served += f.windows_served;
-            divergent += f.divergent_rounds;
-            e_unco += f.energy_uncoordinated_kwh;
-            e_coord += f.energy_coordinated_kwh;
-            home_digests.extend_from_slice(&f.home_digests);
+            city.absorb(f);
         }
-        let uncoordinated = Summary::of(&unco);
-        let coordinated = Summary::of(&coord);
         CityReport {
             name,
             feeders,
             substations,
-            samples_uncoordinated: unco,
-            samples_coordinated: coord,
-            uncoordinated,
-            coordinated,
-            homes,
-            devices,
-            rounds,
-            deadline_misses: misses,
-            windows_served: served,
-            divergent_rounds: divergent,
-            energy_uncoordinated_kwh: e_unco,
-            energy_coordinated_kwh: e_coord,
-            home_digests,
+            uncoordinated: Summary::of(&city.samples_uncoordinated),
+            coordinated: Summary::of(&city.samples_coordinated),
+            samples_uncoordinated: city.samples_uncoordinated,
+            samples_coordinated: city.samples_coordinated,
+            homes: city.homes as usize,
+            devices: city.devices as usize,
+            rounds: city.rounds,
+            deadline_misses: city.deadline_misses,
+            windows_served: city.windows_served,
+            divergent_rounds: city.divergent_rounds,
+            energy_uncoordinated_kwh: city.energy_uncoordinated_kwh,
+            energy_coordinated_kwh: city.energy_coordinated_kwh,
+            home_digests: city.home_digests,
         }
     }
 
@@ -826,19 +645,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_oversharded_specs_are_rejected() {
+    fn empty_specs_are_rejected() {
         let spec = CitySpec::uniform("bad", &tiny(0), CpModel::Ideal, 0, 3);
-        assert!(matches!(spec.validate(), Err(ScenarioError::EmptyCity)));
+        assert!(matches!(City::new(spec), Err(ScenarioError::EmptyCity)));
         let spec = CitySpec::uniform("bad", &tiny(0), CpModel::Ideal, 2, 0);
         assert!(matches!(spec.validate(), Err(ScenarioError::EmptyCity)));
-        let spec = CitySpec::uniform("bad", &tiny(0), CpModel::Ideal, 2, 1).with_shards(3);
-        assert!(matches!(
-            City::new(spec),
-            Err(ScenarioError::TooManyShards {
-                shards: 3,
-                feeders: 2
-            })
-        ));
     }
 
     #[test]
@@ -875,16 +686,5 @@ mod tests {
             );
         }
         assert_eq!(report.samples_coordinated, hood.feeder_samples_coordinated);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_report() {
-        let base = CitySpec::uniform("inv", &tiny(3), CpModel::Ideal, 4, 1);
-        let one = City::new(base.clone().with_shards(1))
-            .unwrap()
-            .run()
-            .unwrap();
-        let four = City::new(base.with_shards(4)).unwrap().run().unwrap();
-        assert_eq!(one, four);
     }
 }

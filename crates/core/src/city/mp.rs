@@ -1,17 +1,15 @@
 //! Multi-process city runner: a worker fleet over `HANFAGG1` pipes.
 //!
-//! The in-process city engine ([`City::run`]) partitions feeders across
-//! shared-heap shards inside one address space. This module runs the
-//! *same* partitioned work as **worker processes**: a parent supervisor
-//! assigns each worker a contiguous feeder range (the same pure
-//! [`partition`](super::partition) function shards use), and each
-//! worker streams its per-feeder [`FeederAggregate`]s back over a byte
-//! pipe as length-framed `HANFAGG1` records. Because the aggregate
-//! format already crosses shard boundaries byte-for-byte, the parent's
-//! reduction path — order by feeder id, fold through
-//! `CityReport::reduce` — is unchanged, and the multi-process report is
-//! `PartialEq`-identical to the in-process one (pinned by
-//! `tests/prop_city_mp.rs` and the CLI golden battery).
+//! The in-process city ([`City::run`]) runs every home inside one
+//! address space. This module runs the *same* work as **worker
+//! processes**: a parent supervisor assigns each worker a contiguous
+//! feeder range (the pure `partition` function below), and each worker
+//! runs its range through the same per-home fold as [`City::run`] and
+//! streams its per-feeder [`FeederAggregate`]s back over a byte pipe as
+//! length-framed `HANFAGG1` records. The parent's reduction path —
+//! order by feeder id, fold through `CityReport::reduce` — is the
+//! in-process one, and the multi-process report is `PartialEq`-identical
+//! to it (pinned by `tests/prop_city_mp.rs` and the CLI golden battery).
 //!
 //! # Wire protocol
 //!
@@ -64,10 +62,9 @@ use std::time::{Duration, Instant};
 
 use han_obs::{Counter, Gauge, Obs};
 use han_workload::fleet::ScenarioError;
-use rayon::prelude::*;
 
 use super::tree::{AggregateWireError, FeederAggregate};
-use super::{partition, City, CityReport, CitySpec};
+use super::{City, CityReport, CitySpec};
 
 /// Version carried (and required) by the `HANCITY1` handshake.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -83,6 +80,24 @@ pub const HANDSHAKE_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4;
 /// low enough that a corrupted prefix fails typed instead of driving an
 /// unbounded allocation in the parent.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+
+/// Contiguous ranges partitioning `0..items` into `parts` pieces whose
+/// sizes differ by at most one. A pure function of its two arguments,
+/// which is what lets a worker re-derive its feeder range from `(spec,
+/// worker index, worker count)` alone.
+fn partition(items: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.clamp(1, items.max(1));
+    let base = items / parts;
+    let extra = items % parts;
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for p in 0..parts {
+        let len = base + usize::from(p < extra);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    ranges
+}
 
 /// The versioned header a worker writes before its record stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,7 +312,7 @@ pub fn decode_stream(bytes: &[u8]) -> Result<(Handshake, Vec<FeederAggregate>), 
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerError {
     /// The worker count is outside `1..=feeders` (feeders are the
-    /// partitioning unit, as for shards).
+    /// partitioning unit).
     BadWorkerCount {
         /// The requested fleet size.
         workers: usize,
@@ -483,11 +498,10 @@ impl From<std::io::Error> for ServeError {
 /// length-framed `HANFAGG1` records in feeder order, fin — into `out`.
 ///
 /// The worker's feeder range is re-derived from `(spec, worker,
-/// workers)` through the same [`partition`](super::partition) function
-/// the supervisor uses, so assignment needs no parent→worker channel.
-/// Within its range the worker still parallelizes across the spec's
-/// shard partition (rayon), exactly as the in-process engine does —
-/// the emitted records are byte-identical either way.
+/// workers)` through the same partition function the supervisor uses,
+/// so assignment needs no parent→worker channel. Within its range the
+/// worker runs its homes in parallel through the same fold as
+/// [`City::run`], so the emitted records are the in-process ones.
 ///
 /// # Errors
 ///
@@ -520,31 +534,10 @@ pub fn serve_worker(
     // simulation fills the first frame.
     out.flush()?;
 
-    // Sub-shard the worker's range with the same partition function, so
-    // a wide worker still uses its cores; streams concatenate in feeder
-    // order, which keeps the emitted record order deterministic.
-    let subranges: Vec<Range<usize>> = partition(range.len(), spec.effective_shards())
-        .into_iter()
-        .map(|r| range.start + r.start..range.start + r.end)
-        .collect();
-    let outputs = crate::experiment::collect_results(
-        subranges
-            .par_iter()
-            .map(|r| city.run_shard_range(r.clone()))
-            .collect(),
-    )
-    .map_err(ServeError::Scenario)?;
-
-    for output in &outputs {
-        // Walk the shard-local stream to find record boundaries; each
-        // record becomes one length-framed payload.
-        let mut rest = &output.stream[..];
-        while !rest.is_empty() {
-            let (_, used) = FeederAggregate::decode(rest).expect("shard-local encode");
-            out.write_all(&(used as u32).to_le_bytes())?;
-            out.write_all(&rest[..used])?;
-            rest = &rest[used..];
-        }
+    for record in city.run_feeders(range)? {
+        let payload = record.encode();
+        out.write_all(&(payload.len() as u32).to_le_bytes())?;
+        out.write_all(&payload)?;
     }
     out.write_all(&0u32.to_le_bytes())?;
     out.flush()?;
@@ -1009,7 +1002,7 @@ fn read_partition(
 
 /// Publishes fleet totals into the observability plane. The city round
 /// counter matches the in-process path, so the obs coherence battery
-/// holds on either engine; the wall-imbalance gauge mirrors the shard
+/// holds on either path; the wall-imbalance gauge mirrors the feeder
 /// imbalance convention (1000 = perfectly balanced, lower = the slowest
 /// worker dominates).
 fn publish_obs(obs: &Obs, report: &CityReport, stats: &MpStats) {
@@ -1113,13 +1106,13 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_validated_like_shards() {
+    fn worker_count_is_validated() {
         let spec = tiny_spec(2);
         let shutdowns = Arc::new(AtomicUsize::new(0));
         let mut launch = pipe_launcher(spec.clone(), shutdowns);
         for workers in [0usize, 3] {
-            let err = run_city_mp(&spec, &MpOptions::new(workers), &Obs::off(), &mut launch)
-                .unwrap_err();
+            let err =
+                run_city_mp(&spec, &MpOptions::new(workers), &Obs::off(), &mut launch).unwrap_err();
             assert_eq!(
                 err,
                 WorkerError::BadWorkerCount {
@@ -1159,7 +1152,8 @@ mod tests {
             let (reader, mut writer) = std::io::pipe().map_err(|e| e.to_string())?;
             let spec = spec_for_launch.clone();
             let (worker, workers) = (task.worker, task.workers);
-            let die = worker == 1 && deaths_in.fetch_add(usize::from(worker == 1), Ordering::SeqCst) == 0;
+            let die =
+                worker == 1 && deaths_in.fetch_add(usize::from(worker == 1), Ordering::SeqCst) == 0;
             std::thread::spawn(move || {
                 if die {
                     let mut stream = Vec::new();

@@ -1,14 +1,14 @@
 //! The feeder → substation → city reduction tree and its wire format.
 //!
-//! At city scale a shard never ships per-home traces upward — it folds
-//! each feeder's homes into one [`FeederAggregate`] and streams that as a
-//! self-delimiting byte record (the same fixed-width little-endian idiom
-//! as [`han_device::status::StatusRecord::encode_into`], scaled up to
-//! carry series). The city layer decodes the records, orders them by
-//! feeder id — which is what makes the reduction independent of how
-//! feeders were partitioned across shards — and sums them level by level:
-//! feeders into substations (groups of `substation_fanin`), substations
-//! into the city.
+//! At city scale no per-home trace travels upward — each feeder's homes
+//! fold into one [`FeederAggregate`], which a worker process streams as
+//! a self-delimiting byte record (the same fixed-width little-endian
+//! idiom as [`han_device::status::StatusRecord::encode_into`], scaled up
+//! to carry series). The city layer orders the records by feeder id —
+//! which is what makes the reduction independent of how feeders were
+//! partitioned across workers — and sums them level by level: feeders
+//! into substations (groups of `substation_fanin`), substations into the
+//! city.
 
 use han_metrics::stats::Summary;
 
@@ -32,7 +32,7 @@ pub struct HomeDigest {
 /// One feeder's homes folded into a single record: counters, energies,
 /// the two per-minute aggregate series, and per-home digests.
 ///
-/// This is the only thing a shard emits per feeder — per-home traces are
+/// This is the only thing the city keeps per feeder — per-home traces are
 /// dropped as soon as they are folded in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeederAggregate {
@@ -131,6 +131,49 @@ impl<'b> Cursor<'b> {
 }
 
 impl FeederAggregate {
+    /// A record of feeder `feeder` with nothing folded in yet.
+    pub(crate) fn empty(feeder: u32) -> Self {
+        FeederAggregate {
+            feeder,
+            homes: 0,
+            devices: 0,
+            rounds: 0,
+            deadline_misses: 0,
+            windows_served: 0,
+            divergent_rounds: 0,
+            energy_uncoordinated_kwh: 0.0,
+            energy_coordinated_kwh: 0.0,
+            sum_home_peaks_uncoordinated: 0.0,
+            sum_home_peaks_coordinated: 0.0,
+            samples_uncoordinated: Vec::new(),
+            samples_coordinated: Vec::new(),
+            home_digests: Vec::new(),
+        }
+    }
+
+    /// Folds `other` into this record: counters and energies add, series
+    /// sum elementwise through [`sum_series`], digests append. Homes fold
+    /// into feeders and feeders into the city through this one function,
+    /// always in id order, so every float sum has one fixed order.
+    pub(crate) fn absorb(&mut self, other: &FeederAggregate) {
+        self.homes += other.homes;
+        self.devices += other.devices;
+        self.rounds += other.rounds;
+        self.deadline_misses += other.deadline_misses;
+        self.windows_served += other.windows_served;
+        self.divergent_rounds += other.divergent_rounds;
+        self.energy_uncoordinated_kwh += other.energy_uncoordinated_kwh;
+        self.energy_coordinated_kwh += other.energy_coordinated_kwh;
+        self.sum_home_peaks_uncoordinated += other.sum_home_peaks_uncoordinated;
+        self.sum_home_peaks_coordinated += other.sum_home_peaks_coordinated;
+        sum_series(
+            &mut self.samples_uncoordinated,
+            &other.samples_uncoordinated,
+        );
+        sum_series(&mut self.samples_coordinated, &other.samples_coordinated);
+        self.home_digests.extend_from_slice(&other.home_digests);
+    }
+
     /// Serializes the record, appending to `out` — same buffer-reuse
     /// contract as [`han_device::status::StatusRecord::encode_into`].
     /// Floats travel as their IEEE-754 bit patterns, so encode → decode

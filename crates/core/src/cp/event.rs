@@ -33,16 +33,14 @@
 //!
 //! # When to pick `round` vs `event`
 //!
-//! The synchronous loop is the fastest way to run one isolated home —
-//! zero queue overhead. The event backend buys *composability*: every
-//! flood step, record refresh and planning trigger is an addressable
-//! event with a firing instant, so packet delivery for home A can
-//! interleave with planning for home B on one shared engine inside a
-//! single neighborhood tick, and external event sources
-//! (hardware-in-the-loop gateways, multi-process shards) can be spliced
-//! between phases. Pick [`EngineKind::Event`] when the simulation must
-//! coexist with other event producers; pick [`EngineKind::Round`]
-//! (the default) for pure single-process sweeps.
+//! The synchronous loop is the fastest way to run a home — zero queue
+//! overhead — and the only backend the neighborhood and city layers use.
+//! The event backend makes every flood step, record refresh and planning
+//! trigger an addressable event with a firing instant, so external event
+//! sources (hardware-in-the-loop gateways) could be spliced between
+//! phases. Pick [`EngineKind::Event`] when the simulation must coexist
+//! with other event producers; pick [`EngineKind::Round`] (the default)
+//! otherwise.
 
 use han_obs::Obs;
 use han_sim::engine::{Engine, World};
@@ -272,107 +270,71 @@ impl<P: RoundPhases> World for EventWorld<'_, P> {
 }
 
 impl<P: RoundPhases> EventWorld<'_, P> {
+    /// Dispatches one [`CpEvent`] onto the phases, scheduling its
+    /// follow-up events on `engine` — the event backend's whole decision
+    /// procedure.
     fn dispatch(&mut self, engine: &mut Engine<CpEvent>, at: SimTime, event: CpEvent) {
-        dispatch_cp_event(self.phases, engine, self.period, self.end, at, event);
-    }
-}
-
-/// The scheduling surface [`dispatch_cp_event`] needs: queue a follow-up
-/// event at an instant, or splice one in front of everything already
-/// queued at that instant. A plain `Engine<CpEvent>` is the single-home
-/// case; the city shard implements it by tagging each event with a home
-/// id before handing it to a *shared* `Engine`.
-pub(crate) trait CpSchedule {
-    /// Queues `event` at `at` (FIFO among same-instant events).
-    fn at(&mut self, at: SimTime, event: CpEvent);
-    /// Splices `event` in front of everything already queued at `at`.
-    fn front(&mut self, at: SimTime, event: CpEvent);
-}
-
-impl CpSchedule for Engine<CpEvent> {
-    fn at(&mut self, at: SimTime, event: CpEvent) {
-        self.schedule_at(at, event);
-    }
-    fn front(&mut self, at: SimTime, event: CpEvent) {
-        self.schedule_front(at, event);
-    }
-}
-
-/// Dispatches one [`CpEvent`] onto a [`RoundPhases`] implementation,
-/// scheduling the follow-up events through `schedule`.
-///
-/// This free function IS the event backend's decision procedure — the
-/// single-home [`drive`] path and the city shard's multi-home world both
-/// call it, so a home's phase sequence on a shared heap is *structurally*
-/// identical to its solo run: same code, same order, only the scheduler
-/// wrapper differs.
-pub(crate) fn dispatch_cp_event<P: RoundPhases>(
-    phases: &mut P,
-    schedule: &mut impl CpSchedule,
-    period: SimDuration,
-    end: SimTime,
-    at: SimTime,
-    event: CpEvent,
-) {
-    match event {
-        CpEvent::Inject { round } => {
-            let had_faults = phases.has_faults();
-            phases.inject_phase(at);
-            if !had_faults && phases.has_faults() {
-                // The drain installed the run's *first* fault plan, so
-                // no Fault event was scheduled for this round
-                // (`has_faults` was false when the round was chained).
-                // Splice one in front of the already-queued RoundStart
-                // — the synchronous loop re-checks `has_faults` after
-                // draining for exactly the same reason.
-                schedule.front(at, CpEvent::Fault { round });
-            }
-        }
-        CpEvent::Fault { .. } => phases.fault_phase(at),
-        CpEvent::RoundStart { round } => {
-            phases.begin_round(at);
-            // The whole round unfolds at this instant; FIFO
-            // tie-breaking fires the chain in schedule order, which is
-            // the synchronous loop's phase order.
-            for phase in 0..phases.flood_phases() {
-                schedule.at(
-                    at,
-                    CpEvent::Flood {
-                        round,
-                        phase: phase as u32,
-                    },
-                );
-            }
-            for row in 0..phases.delivery_rows() {
-                schedule.at(
-                    at,
-                    CpEvent::Deliver {
-                        round,
-                        row: row as u32,
-                    },
-                );
-            }
-            schedule.at(at, CpEvent::Plan { round });
-            schedule.at(at, CpEvent::RoundEnd { round });
-        }
-        CpEvent::Flood { phase, .. } => phases.flood_phase(phase as usize),
-        CpEvent::Deliver { row, .. } => phases.deliver_row(row as usize),
-        CpEvent::Plan { .. } => phases.plan(at),
-        CpEvent::RoundEnd { round } => {
-            phases.end_round(at);
-            let next = at + period;
-            if next <= end {
-                // FIFO tie-breaking fires injection draining, then
-                // the fault application, before the round opens —
-                // matching the synchronous loop's
-                // `inject_phase; fault_phase; begin_round` order.
-                if phases.has_injections() {
-                    schedule.at(next, CpEvent::Inject { round: round + 1 });
+        let phases = &mut *self.phases;
+        match event {
+            CpEvent::Inject { round } => {
+                let had_faults = phases.has_faults();
+                phases.inject_phase(at);
+                if !had_faults && phases.has_faults() {
+                    // The drain installed the run's *first* fault plan, so
+                    // no Fault event was scheduled for this round
+                    // (`has_faults` was false when the round was chained).
+                    // Splice one in front of the already-queued RoundStart
+                    // — the synchronous loop re-checks `has_faults` after
+                    // draining for exactly the same reason.
+                    engine.schedule_front(at, CpEvent::Fault { round });
                 }
-                if phases.has_faults() {
-                    schedule.at(next, CpEvent::Fault { round: round + 1 });
+            }
+            CpEvent::Fault { .. } => phases.fault_phase(at),
+            CpEvent::RoundStart { round } => {
+                phases.begin_round(at);
+                // The whole round unfolds at this instant; FIFO
+                // tie-breaking fires the chain in schedule order, which is
+                // the synchronous loop's phase order.
+                for phase in 0..phases.flood_phases() {
+                    engine.schedule_at(
+                        at,
+                        CpEvent::Flood {
+                            round,
+                            phase: phase as u32,
+                        },
+                    );
                 }
-                schedule.at(next, CpEvent::RoundStart { round: round + 1 });
+                for row in 0..phases.delivery_rows() {
+                    engine.schedule_at(
+                        at,
+                        CpEvent::Deliver {
+                            round,
+                            row: row as u32,
+                        },
+                    );
+                }
+                engine.schedule_at(at, CpEvent::Plan { round });
+                engine.schedule_at(at, CpEvent::RoundEnd { round });
+            }
+            CpEvent::Flood { phase, .. } => phases.flood_phase(phase as usize),
+            CpEvent::Deliver { row, .. } => phases.deliver_row(row as usize),
+            CpEvent::Plan { .. } => phases.plan(at),
+            CpEvent::RoundEnd { round } => {
+                phases.end_round(at);
+                let next = at + self.period;
+                if next <= self.end {
+                    // FIFO tie-breaking fires injection draining, then
+                    // the fault application, before the round opens —
+                    // matching the synchronous loop's
+                    // `inject_phase; fault_phase; begin_round` order.
+                    if phases.has_injections() {
+                        engine.schedule_at(next, CpEvent::Inject { round: round + 1 });
+                    }
+                    if phases.has_faults() {
+                        engine.schedule_at(next, CpEvent::Fault { round: round + 1 });
+                    }
+                    engine.schedule_at(next, CpEvent::RoundStart { round: round + 1 });
+                }
             }
         }
     }
@@ -423,29 +385,16 @@ pub(crate) fn drive_from_observed<P: RoundPhases>(
     if start > end {
         return 0;
     }
-    schedule_run_start(world.phases, &mut engine, start, start_round);
+    // The run's opening events, in the synchronous loop's phase order.
+    if world.phases.has_injections() {
+        engine.schedule_at(start, CpEvent::Inject { round: start_round });
+    }
+    if world.phases.has_faults() {
+        engine.schedule_at(start, CpEvent::Fault { round: start_round });
+    }
+    engine.schedule_at(start, CpEvent::RoundStart { round: start_round });
     engine.run_until(&mut world, end);
     engine.events_fired()
-}
-
-/// Schedules a run's opening events — `Inject`/`Fault` when active, then
-/// `RoundStart` — in the exact order the synchronous loop executes the
-/// same phases. Shared by [`drive_from`] and the city shard (which seeds
-/// every home's chain through this function, so per-home opening order on
-/// a shared heap equals the solo run's by construction).
-pub(crate) fn schedule_run_start<P: RoundPhases>(
-    phases: &P,
-    schedule: &mut impl CpSchedule,
-    start: SimTime,
-    start_round: u64,
-) {
-    if phases.has_injections() {
-        schedule.at(start, CpEvent::Inject { round: start_round });
-    }
-    if phases.has_faults() {
-        schedule.at(start, CpEvent::Fault { round: start_round });
-    }
-    schedule.at(start, CpEvent::RoundStart { round: start_round });
 }
 
 #[cfg(test)]

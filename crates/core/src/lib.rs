@@ -32,10 +32,11 @@
 //!   signal ([`feeder::FeederSignal`]): Jacobi/Gauss-Seidel re-planning to
 //!   convergence, reported with baselines, costs and the per-iteration
 //!   [`feeder::ConvergenceTrace`];
-//! * [`city`] — city scale ([`city::City`]): feeders × homes on
-//!   shared-heap shards, reduced feeder → substation → city with no
-//!   per-home trace materialization, digest-equivalent per home to the
-//!   [`neighborhood`] path and invariant in the shard count.
+//! * [`city`] — city scale ([`city::City`]): feeders × homes, each home
+//!   run on the round loop and folded into its feeder, reduced feeder →
+//!   substation → city with no per-home trace kept, digest-equivalent
+//!   per home to the [`neighborhood`] path and invariant in the worker
+//!   count.
 //!
 //! # Examples
 //!

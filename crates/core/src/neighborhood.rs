@@ -77,16 +77,11 @@ impl Home {
     /// Creates a home named after its scenario, on the synchronous round
     /// loop.
     pub fn new(scenario: Scenario, cp: CpModel) -> Self {
-        Home::with_engine(scenario, cp, EngineKind::Round)
-    }
-
-    /// Creates a home on an explicit simulation backend.
-    pub fn with_engine(scenario: Scenario, cp: CpModel, engine: EngineKind) -> Self {
         Home {
             name: scenario.name.clone(),
             scenario,
             cp,
-            engine,
+            engine: EngineKind::Round,
             faults: FaultPlan::empty(),
         }
     }

@@ -77,6 +77,12 @@ const FREE_CHUNK: u64 = 64;
 /// Idle sleep between loop iterations when there is nothing to do.
 const IDLE_SLEEP: Duration = Duration::from_millis(2);
 
+/// Longest line a client may send, newline excluded. Far above any real
+/// command (an `INJECT` of a thousand events is a few tens of kilobytes)
+/// but bounded, so a client streaming bytes with no newline gets an
+/// `ERR` and is dropped instead of growing the daemon's memory.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// One connected client: the stream plus its partial-line buffer.
 struct Client {
     stream: TcpStream,
@@ -220,7 +226,13 @@ pub fn serve(
                         drop_client = true;
                         break;
                     }
-                    Ok(n) => c.buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => {
+                        c.buf.extend_from_slice(&chunk[..n]);
+                        if c.buf.len() > MAX_LINE_BYTES {
+                            // Serve what is complete before reading on.
+                            break;
+                        }
+                    }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => {
                         drop_client = true;
@@ -243,6 +255,12 @@ pub fn serve(
                     shutdown = true;
                     break;
                 }
+            }
+            if !shutdown && c.buf.len() > MAX_LINE_BYTES {
+                let _ = c
+                    .stream
+                    .write_all(format!("ERR line exceeds {MAX_LINE_BYTES} bytes\n").as_bytes());
+                drop_client = true;
             }
             if drop_client {
                 client = None;

@@ -1,20 +1,21 @@
-//! Differential property battery of the city-scale sharded engine.
+//! Differential property battery of the city layer.
 //!
 //! The city layer's headline contract, pinned property by property:
 //!
-//! 1. **Shared-heap ≡ per-home.** A city of one feeder on one shard —
-//!    every home interleaved on one shared engine — must reproduce the
-//!    same homes run through `Neighborhood::run` (the one-engine-per-home
-//!    path) exactly: per-home schedule digests, the feeder aggregate
-//!    series, deadline misses and energy, under ideal, lossy and
-//!    packet-level CPs and under fault plans.
-//! 2. **Shard-count invariance.** The full `CityReport` — every feeder
-//!    aggregate, every substation summary, every digest — compares equal
-//!    across `shards ∈ {1, 2, 4}` on random heterogeneous cities.
-//! 3. **The reduction tree is a faithful sum.** Each feeder aggregate's
+//! 1. **City ≡ per-home.** A city — every home run on its own and folded
+//!    into its feeder — must reproduce the same homes run through
+//!    `Neighborhood::run` feeder by feeder exactly: per-home schedule
+//!    digests, the feeder aggregate series, deadline misses and energy,
+//!    under ideal, lossy and packet-level CPs and under fault plans.
+//! 2. **The reduction tree is a faithful sum.** Each feeder aggregate's
 //!    series equals the recomputed elementwise sum of its homes' per-home
 //!    series (from the oracle path), and the city series equals the sum
 //!    of the feeder series; wire encode → decode is the identity.
+//!
+//! Both properties also run on the degenerate grid shapes 1×N (one
+//! feeder of many homes) and N×1 (many one-home feeders), where the
+//! flattened per-home fold must still cut feeder boundaries right.
+//! Worker-count invariance is pinned by `prop_city_mp.rs`.
 
 use han_core::city::{City, CitySpec, FeederAggregate};
 use han_core::cp::CpModel;
@@ -73,13 +74,23 @@ fn faults_for(active: bool, node: usize, down_min: u64, outage_min: u64) -> Faul
     .expect("valid plan")
 }
 
+/// Grid shapes: 1–4 feeders × 1–2 homes, plus the degenerate 1×N and
+/// N×1 shapes.
+fn arb_shape() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        (1usize..5, 1usize..3),
+        (Just(1usize), 3usize..6),
+        (3usize..6, Just(1usize)),
+    ]
+}
+
 prop_compose! {
-    /// A random heterogeneous city spec: 1–4 feeders × 1–3 homes, a
-    /// 1–3-template mix of differing fleet sizes and arrival rates, one
-    /// of the three CP families, optionally a fault plan.
+    /// A random heterogeneous city spec: a grid shape from
+    /// [`arb_shape`], a 1–3-template mix of differing fleet sizes and
+    /// arrival rates, one of the three CP families, optionally a fault
+    /// plan.
     fn arb_city()(
-        feeders in 1usize..5,
-        homes_per_feeder in 1usize..3,
+        shape in arb_shape(),
         mix in prop::collection::vec((3usize..5, 4u32..20), 1..4),
         cp_pick in 0u8..3,
         seed in 0u64..1_000,
@@ -88,6 +99,7 @@ prop_compose! {
         down_min in 2u64..12,
         outage_min in 2u64..18,
     ) -> CitySpec {
+        let (feeders, homes_per_feeder) = shape;
         let templates = mix
             .into_iter()
             .map(|(devices, rate)| template(devices, f64::from(rate)))
@@ -99,107 +111,138 @@ prop_compose! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 16 }))]
-
-    /// Property 1: shared-heap ≡ per-home, one feeder at a time.
-    #[test]
-    fn city_matches_neighborhood_oracle_per_home(spec in arb_city()) {
-        let spec = spec.with_shards(1);
-        let report = City::new(spec.clone()).expect("valid spec").run().expect("runs");
-        let mut digest_cursor = report.home_digests.iter();
-        for feeder in 0..spec.feeders {
-            let oracle = spec
-                .feeder_neighborhood(feeder)
-                .expect("valid feeder")
-                .run()
-                .expect("oracle runs");
-            let agg = &report.feeders[feeder];
-            prop_assert_eq!(agg.homes as usize, oracle.homes.len());
-            for (slot, home) in oracle.homes.iter().enumerate() {
-                let digest = digest_cursor.next().expect("digest per home");
-                prop_assert_eq!(digest.home, spec.home_id(feeder, slot));
-                prop_assert_eq!(
-                    digest.coordinated,
-                    home.comparison.coordinated.outcome.schedule_digest,
-                    "home {}/{} digest diverged from its solo run", feeder, slot
-                );
-                prop_assert_eq!(
-                    digest.uncoordinated,
-                    home.comparison.uncoordinated.outcome.schedule_digest
-                );
-            }
-            // The feeder aggregate is the oracle's feeder aggregate.
-            prop_assert_eq!(&agg.samples_uncoordinated, &oracle.feeder_samples_uncoordinated);
-            prop_assert_eq!(&agg.samples_coordinated, &oracle.feeder_samples_coordinated);
-            let misses: u64 = oracle
-                .homes
-                .iter()
-                .map(|h| u64::from(h.comparison.coordinated.outcome.deadline_misses))
-                .sum();
-            prop_assert_eq!(agg.deadline_misses, misses);
-            let energy: f64 = oracle
-                .homes
-                .iter()
-                .map(|h| h.comparison.coordinated.outcome.energy_kwh)
-                .sum();
-            prop_assert!((agg.energy_coordinated_kwh - energy).abs() < 1e-9);
+/// Property 1: city ≡ per-home, one feeder at a time.
+fn city_matches_oracle(spec: &CitySpec) -> TestCaseResult {
+    let report = City::new(spec.clone())
+        .expect("valid spec")
+        .run()
+        .expect("runs");
+    prop_assert_eq!(report.feeders.len(), spec.feeders);
+    prop_assert_eq!(report.home_digests.len(), spec.home_count());
+    let mut digest_cursor = report.home_digests.iter();
+    for feeder in 0..spec.feeders {
+        let oracle = spec
+            .feeder_neighborhood(feeder)
+            .expect("valid feeder")
+            .run()
+            .expect("oracle runs");
+        let agg = &report.feeders[feeder];
+        prop_assert_eq!(agg.feeder as usize, feeder);
+        prop_assert_eq!(agg.homes as usize, oracle.homes.len());
+        for (slot, home) in oracle.homes.iter().enumerate() {
+            let digest = digest_cursor.next().expect("digest per home");
+            prop_assert_eq!(digest.home, spec.home_id(feeder, slot));
+            prop_assert_eq!(
+                digest.coordinated,
+                home.comparison.coordinated.outcome.schedule_digest,
+                "home {}/{} digest diverged from its solo run",
+                feeder,
+                slot
+            );
+            prop_assert_eq!(
+                digest.uncoordinated,
+                home.comparison.uncoordinated.outcome.schedule_digest
+            );
         }
+        // The feeder aggregate is the oracle's feeder aggregate.
+        prop_assert_eq!(
+            &agg.samples_uncoordinated,
+            &oracle.feeder_samples_uncoordinated
+        );
+        prop_assert_eq!(&agg.samples_coordinated, &oracle.feeder_samples_coordinated);
+        let misses: u64 = oracle
+            .homes
+            .iter()
+            .map(|h| u64::from(h.comparison.coordinated.outcome.deadline_misses))
+            .sum();
+        prop_assert_eq!(agg.deadline_misses, misses);
+        let energy: f64 = oracle
+            .homes
+            .iter()
+            .map(|h| h.comparison.coordinated.outcome.energy_kwh)
+            .sum();
+        prop_assert!((agg.energy_coordinated_kwh - energy).abs() < 1e-9);
     }
+    Ok(())
+}
 
-    /// Property 2: the report is invariant in the shard count.
-    #[test]
-    fn report_is_invariant_in_shard_count(spec in arb_city()) {
-        let one = City::new(spec.clone().with_shards(1)).expect("valid").run().expect("runs");
-        let mut seen = vec![1usize];
-        for shards in [2usize, 4] {
-            let k = shards.min(spec.feeders);
-            if seen.contains(&k) {
-                continue; // a narrow city clamps 2 and 4 to the same K
-            }
-            seen.push(k);
-            let sharded = City::new(spec.clone().with_shards(k)).expect("valid").run().expect("runs");
-            prop_assert_eq!(&one, &sharded, "report changed between 1 and {} shard(s)", k);
-        }
-    }
-
-    /// Property 3: every level of the tree is a faithful elementwise sum,
-    /// and the wire format round-trips every aggregate.
-    #[test]
-    fn reduction_tree_sums_faithfully(spec in arb_city()) {
-        let report = City::new(spec.clone()).expect("valid").run().expect("runs");
-        // Feeder level: aggregate == recomputed sum of the oracle's
-        // per-home series.
-        for (feeder, agg) in report.feeders.iter().enumerate() {
-            let oracle = spec
-                .feeder_neighborhood(feeder)
-                .expect("valid feeder")
-                .run()
-                .expect("oracle runs");
-            let len = agg.samples_coordinated.len();
-            let mut expected = vec![0.0f64; len];
-            for home in &oracle.homes {
-                for (sum, &kw) in expected.iter_mut().zip(&home.comparison.coordinated.samples) {
-                    *sum += kw;
-                }
-            }
-            prop_assert_eq!(&agg.samples_coordinated, &expected);
-            // Wire round trip is the identity on the aggregate.
-            let bytes = agg.encode();
-            let (back, used) = FeederAggregate::decode(&bytes).expect("round trip");
-            prop_assert_eq!(used, bytes.len());
-            prop_assert_eq!(&back, agg);
-        }
-        // City level: city series == sum of feeder series.
-        let len = report.samples_coordinated.len();
+/// Property 2: every level of the tree is a faithful elementwise sum,
+/// and the wire format round-trips every aggregate.
+fn tree_sums_faithfully(spec: &CitySpec) -> TestCaseResult {
+    let report = City::new(spec.clone()).expect("valid").run().expect("runs");
+    // Feeder level: aggregate == recomputed sum of the oracle's
+    // per-home series.
+    for (feeder, agg) in report.feeders.iter().enumerate() {
+        let oracle = spec
+            .feeder_neighborhood(feeder)
+            .expect("valid feeder")
+            .run()
+            .expect("oracle runs");
+        let len = agg.samples_coordinated.len();
         let mut expected = vec![0.0f64; len];
-        for agg in &report.feeders {
-            for (sum, &kw) in expected.iter_mut().zip(&agg.samples_coordinated) {
+        for home in &oracle.homes {
+            for (sum, &kw) in expected
+                .iter_mut()
+                .zip(&home.comparison.coordinated.samples)
+            {
                 *sum += kw;
             }
         }
-        prop_assert_eq!(&report.samples_coordinated, &expected);
-        prop_assert_eq!(report.homes, spec.home_count());
-        prop_assert_eq!(report.devices, spec.device_count());
+        prop_assert_eq!(&agg.samples_coordinated, &expected);
+        // Wire round trip is the identity on the aggregate.
+        let bytes = agg.encode();
+        let (back, used) = FeederAggregate::decode(&bytes).expect("round trip");
+        prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(&back, agg);
+    }
+    // City level: city series == sum of feeder series.
+    let len = report.samples_coordinated.len();
+    let mut expected = vec![0.0f64; len];
+    for agg in &report.feeders {
+        for (sum, &kw) in expected.iter_mut().zip(&agg.samples_coordinated) {
+            *sum += kw;
+        }
+    }
+    prop_assert_eq!(&report.samples_coordinated, &expected);
+    prop_assert_eq!(report.homes, spec.home_count());
+    prop_assert_eq!(report.devices, spec.device_count());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 16 }))]
+
+    #[test]
+    fn city_matches_neighborhood_oracle_per_home(spec in arb_city()) {
+        city_matches_oracle(&spec)?;
+    }
+
+    #[test]
+    fn reduction_tree_sums_faithfully(spec in arb_city()) {
+        tree_sums_faithfully(&spec)?;
+    }
+}
+
+/// Both properties on the degenerate shapes 1×4 and 4×1, every run: a
+/// mixed, lossy, faulted city whose flattened per-home fold must cut
+/// feeder boundaries right whatever the random battery draws.
+#[test]
+fn degenerate_shapes_fold_into_the_right_feeders() {
+    for (feeders, homes_per_feeder) in [(1, 4), (4, 1)] {
+        let spec = CitySpec::uniform(
+            "edge city",
+            &template(3, 6.0),
+            cp_for(1),
+            feeders,
+            homes_per_feeder,
+        )
+        .with_templates(vec![template(3, 12.0), template(4, 6.0), template(3, 18.0)])
+        .with_seed(5)
+        .with_faults(faults_for(true, 1, 4, 10));
+        for check in [city_matches_oracle, tree_sums_faithfully] {
+            if let Err(e) = check(&spec) {
+                panic!("{feeders}x{homes_per_feeder}: {e}");
+            }
+        }
     }
 }

@@ -13,10 +13,10 @@
 //!    CP deliveries and drops partition CP attempts exactly, the round
 //!    counter matches the outcome, and the pool peak dominates the live
 //!    gauge.
-//! 3. **City coherence** — a sharded city run publishes per-shard round
-//!    counters that sum exactly to the city round counter, its shard
-//!    gauges stay in range, and attaching a sink never changes the
-//!    report.
+//! 3. **City coherence** — a city run publishes the city round counter
+//!    equal to the report's rounds and a feeder imbalance gauge in
+//!    range (exactly 1000 for a uniform city), and attaching a sink
+//!    never changes the report.
 //!
 //! Case counts scale with the build profile: the debug run (tier-1
 //! `cargo test`) keeps a quick battery, the dedicated release CI job
@@ -309,31 +309,38 @@ const CITY_CASES: u32 = if cfg!(debug_assertions) { 3 } else { 8 };
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CITY_CASES))]
 
-    /// (3) City shard counters are coherent — the sum of the per-shard
-    /// round increments equals the city round counter, the shard-homes
-    /// gauge and imbalance metric are in range — and attaching a sink to
-    /// a [`han_core::city::City`] run never changes its report.
+    /// (3) City metrics are coherent — the city round counter equals
+    /// the report's rounds and the feeder imbalance gauge is in
+    /// `[1, 1000]`, exactly 1000 when every feeder carries the same
+    /// devices — and attaching a sink to a [`han_core::city::City`] run
+    /// never changes its report.
     #[test]
-    fn city_shard_counters_are_coherent_and_inert(
+    fn city_counters_are_coherent_and_inert(
         feeders in 1usize..4,
         homes_per_feeder in 1usize..3,
-        shards in 1usize..3,
+        mixed in any::<bool>(),
         cp_idx in 0usize..2,
         seed in 0u64..1_000,
     ) {
         use han_core::city::{City, CitySpec};
         use han_workload::scenario::Scenario;
 
-        let template = Scenario::builder("obs city home")
-            .class(DeviceClass::paper(3))
-            .poisson(8.0)
-            .duration(SimDuration::from_mins(20))
-            .build()
-            .expect("valid scenario");
+        let template = |devices: usize| {
+            Scenario::builder("obs city home")
+                .class(DeviceClass::paper(devices))
+                .poisson(8.0)
+                .duration(SimDuration::from_mins(20))
+                .build()
+                .expect("valid scenario")
+        };
         let cp = cp_model(cp_idx, 200, seed);
-        let spec = CitySpec::uniform("obs city", &template, cp, feeders, homes_per_feeder)
-            .with_seed(seed)
-            .with_shards(shards.min(feeders));
+        let mut spec = CitySpec::uniform("obs city", &template(3), cp, feeders, homes_per_feeder)
+            .with_seed(seed);
+        if mixed {
+            // Homes alternate 3 and 4 devices, so an odd home count per
+            // feeder loads the feeders unevenly.
+            spec = spec.with_templates(vec![template(3), template(4)]);
+        }
 
         let plain = City::new(spec.clone()).expect("valid").run().expect("runs");
 
@@ -345,17 +352,15 @@ proptest! {
         prop_assert_eq!(&observed, &plain, "observation must not perturb the city report");
 
         let r = sink.registry();
-        prop_assert_eq!(
-            r.counter(Counter::CityShardRounds),
-            r.counter(Counter::CityRounds),
-            "the per-shard round increments must sum to the city total"
-        );
         prop_assert_eq!(r.counter(Counter::CityRounds), plain.rounds);
-        let shard_homes = r.gauge(Gauge::CityShardHomes);
-        prop_assert!(shard_homes >= 1);
-        prop_assert!(shard_homes <= plain.homes as u64);
         let permille = r.gauge(Gauge::CityShardImbalancePermille);
         prop_assert!(permille >= 1, "imbalance gauge must be set");
         prop_assert!(permille <= 1000, "1000 is perfect balance");
+        let uniform = plain.feeders.iter().all(|f| f.devices == plain.feeders[0].devices);
+        if uniform {
+            prop_assert_eq!(permille, 1000, "equal feeders are perfectly balanced");
+        } else {
+            prop_assert!(permille < 1000, "unequal feeders are not balanced");
+        }
     }
 }

@@ -186,8 +186,6 @@ metric_enum! {
         OnlineEventsAbsorbed => ("han_online_events_absorbed_total", "Injected telemetry events absorbed at round boundaries"),
         /// Rounds executed across all homes of a city run (city level).
         CityRounds => ("han_city_rounds_total", "Rounds executed across all homes of a city run"),
-        /// Rounds executed per shard, summed (must equal the city total).
-        CityShardRounds => ("han_city_shard_rounds_total", "Rounds executed by city shards (sum over shards)"),
         /// `HANFAGG1` record frames received from city worker processes.
         CityMpFrames => ("han_city_mp_frames_total", "Record frames received from city workers"),
         /// Framed payload bytes received from city worker processes.
@@ -213,11 +211,12 @@ metric_enum! {
         FeederStopReason => ("han_feeder_stop_reason", "Feeder stop reason (0 converged, 1 max iterations, 2 oscillating)"),
         /// Injected actions still waiting for their absorbing round.
         OnlinePendingInjections => ("han_online_pending_injections", "Injected actions awaiting their round"),
-        /// Homes on the most-loaded shard of the last city run.
-        CityShardHomes => ("han_city_shard_homes", "Homes on the most-loaded shard of a city run"),
-        /// Shard load imbalance, permille (1000 = perfectly balanced;
-        /// max shard devices x shards x 1000 / total devices).
-        CityShardImbalancePermille => ("han_city_shard_imbalance_permille", "City shard imbalance, permille (1000 = balanced)"),
+        /// Feeder load imbalance of the last city run, permille: mean
+        /// over max devices per feeder (1000 = every feeder carries the
+        /// same load; total devices x 1000 / (feeders x max feeder
+        /// devices)). The name predates the per-feeder city path and is
+        /// kept for existing readers.
+        CityShardImbalancePermille => ("han_city_shard_imbalance_permille", "City feeder imbalance, permille: mean over max devices per feeder (1000 = balanced)"),
         /// Worker processes in the last multi-process city fleet.
         CityMpWorkers => ("han_city_mp_workers", "Worker processes in the last city fleet"),
         /// Per-worker wall-clock imbalance, permille (1000 = balanced;

@@ -100,14 +100,6 @@ pub enum ScenarioError {
     EmptyNeighborhood,
     /// A city had no feeders or no homes per feeder.
     EmptyCity,
-    /// A city was asked to partition its feeders across more shards than
-    /// it has feeders (feeders are the unit of partitioning).
-    TooManyShards {
-        /// The requested shard count.
-        shards: usize,
-        /// Feeders available to partition.
-        feeders: usize,
-    },
     /// A power-cap profile was structurally invalid (empty, unsorted, not
     /// anchored at time zero, or containing a negative/NaN cap).
     InvalidCapProfile {
@@ -218,13 +210,6 @@ impl fmt::Display for ScenarioError {
                 write!(
                     f,
                     "city must contain at least one feeder with at least one home"
-                )
-            }
-            ScenarioError::TooManyShards { shards, feeders } => {
-                write!(
-                    f,
-                    "cannot partition {feeders} feeder(s) across {shards} shards \
-                     (shards must not exceed feeders)"
                 )
             }
             ScenarioError::InvalidCapProfile { reason } => {

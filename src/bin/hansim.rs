@@ -7,7 +7,7 @@
 //! ```text
 //! Usage: hansim [OPTIONS]
 //!        hansim serve [OPTIONS]   long-lived online service mode (below)
-//!        hansim city [OPTIONS]    city-scale sharded run (below)
+//!        hansim city [OPTIONS]    city-scale run (below)
 //!   --rate <low|moderate|high|N>   aggregate request rate (default: high)
 //!   --workload <poisson|daily>     arrival process (default: poisson;
 //!                                  daily = time-of-day household profile,
@@ -94,27 +94,24 @@
 //!                                  here whenever a fault fires (DUMP
 //!                                  over the socket works regardless)
 //!
-//! City mode (`hansim city`) runs feeders × homes-per-feeder homes on
-//! shared-heap shards (see han_core::city) and prints the reduced
-//! feeder → substation → city report. The report is identical for every
-//! valid `--shards` value, and per-home results are digest-identical to
-//! the same homes run through the neighborhood path. Scenario flags
-//! (--rate, --workload, --minutes, --devices, --cp, --faults, --seed)
-//! apply as above; --engine is rejected (the city always runs the
-//! shared-heap event backend). City-specific flags:
+//! City mode (`hansim city`) runs feeders × homes-per-feeder homes, each
+//! on the round loop and in parallel, folds every home into its feeder
+//! (see han_core::city) and prints the reduced feeder → substation →
+//! city report. Per-home results are digest-identical to the same homes
+//! run through the neighborhood path. Scenario flags (--rate,
+//! --workload, --minutes, --devices, --cp, --faults, --seed) apply as
+//! above; --engine is rejected (the city always runs the round loop).
+//! City-specific flags:
 //!
 //!   --feeders <N>                  feeders in the city (default: 4)
 //!   --homes-per-feeder <M>         homes on each feeder (default: 4)
-//!   --shards <K>                   shards to partition feeders across
-//!                                  (default: auto; K must not exceed
-//!                                  the feeder count)
 //!   --substation-fanin <N>         feeders per substation in the
 //!                                  reduction tree (default: 8)
 //!   --workers <N>                  run the city as N worker processes
 //!                                  (re-exec'd `hansim` children over
-//!                                  HANFAGG1 pipes; default: in-process
-//!                                  shards). The report is byte-identical
-//!                                  either way and for every valid N.
+//!                                  HANFAGG1 pipes; default: in-process).
+//!                                  The report is byte-identical either
+//!                                  way and for every valid N.
 //!   --mp-restart                   relaunch a dead worker once and
 //!                                  re-read its partition (deterministic)
 //!   --mp-deadline-ms <N>           per-worker read deadline before a
@@ -1171,7 +1168,6 @@ fn run_serve() -> Result<(), CliError> {
 struct CityArgs {
     feeders: usize,
     homes_per_feeder: usize,
-    shards: usize,
     devices: usize,
     rate: f64,
     workload: String,
@@ -1182,7 +1178,7 @@ struct CityArgs {
     substation_fanin: usize,
     csv: bool,
     /// `Some(n)`: run the city as `n` worker processes (`hansim
-    /// city-worker` children). `None`: in-process shards.
+    /// city-worker` children). `None`: in process.
     workers: Option<usize>,
     mp_restart: bool,
     mp_deadline_ms: u64,
@@ -1198,7 +1194,6 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
     let mut args = CityArgs {
         feeders: 4,
         homes_per_feeder: 4,
-        shards: 0,
         devices: 26,
         rate: 30.0,
         workload: "poisson".into(),
@@ -1221,7 +1216,6 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
                 args.homes_per_feeder =
                     parse_num(&value("--homes-per-feeder")?, "--homes-per-feeder")?
             }
-            "--shards" => args.shards = parse_num(&value("--shards")?, "--shards")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
             "--rate" => {
                 let v = value("--rate")?;
@@ -1293,15 +1287,14 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
                 args.mp_deadline_ms = parse_num(&value("--mp-deadline-ms")?, "--mp-deadline-ms")?
             }
             // The city layer has no backend choice: homes always run the
-            // shared-heap event engine (the equivalence contract makes
-            // the synchronous loop redundant at this scale). Rejected,
-            // not ignored — a typed error, never a silent no-op.
+            // round loop. Rejected, not ignored — a typed error, never a
+            // silent no-op.
             "--engine" => {
                 let v = value("--engine").unwrap_or_else(|_| "absent".into());
                 return Err(CliError::Invalid {
                     flag: "--engine",
                     value: v,
-                    expected: "no --engine in city mode (always the shared-heap event backend)",
+                    expected: "no --engine in city mode (always the round loop)",
                 });
             }
             "--help" | "-h" => return Err(CliError::Usage),
@@ -1340,7 +1333,6 @@ fn city_spec(args: &CityArgs) -> Result<CitySpec, CliError> {
         args.homes_per_feeder,
     )
     .with_seed(args.seed)
-    .with_shards(args.shards)
     .with_substation_fanin(args.substation_fanin)
     .with_faults(args.faults.clone()))
 }
@@ -1456,10 +1448,7 @@ impl<W: Write> SabotagedWriter<W> {
         SabotagedWriter {
             inner,
             written: 0,
-            crash_at: armed(
-                "HANSIM_CITY_WORKER_CRASH",
-                mp::HANDSHAKE_LEN + 10,
-            ),
+            crash_at: armed("HANSIM_CITY_WORKER_CRASH", mp::HANDSHAKE_LEN + 10),
             stall_at: armed("HANSIM_CITY_WORKER_STALL", mp::HANDSHAKE_LEN),
         }
     }
@@ -1487,9 +1476,9 @@ impl<W: Write> Write for SabotagedWriter<W> {
 
 /// Prints the reduced city report — CSV series or the pretty tables.
 /// A pure function of `(report, parsed flags)`: nothing here depends on
-/// how the report was computed, which is exactly why `--workers N`,
-/// every `--shards K`, and the in-process default print identical bytes
-/// (pinned by tests/cli_city.rs and tests/cli_city_mp.rs).
+/// how the report was computed, which is exactly why `--workers N` and
+/// the in-process default print identical bytes (pinned by
+/// tests/cli_city_mp.rs).
 fn print_city_report(report: &CityReport, args: &CityArgs) {
     if args.csv {
         let minutes: Vec<f64> = (0..report.samples_uncoordinated.len())
@@ -1639,7 +1628,7 @@ fn fail(error: &CliError) -> ExitCode {
          [--checkpoint PATH] [--checkpoint-every MIN] [--restore PATH] \
          [--pace-us N] [--manual] [--flight FILE]\n       \
          hansim city [scenario flags] [--feeders N] [--homes-per-feeder M] \
-         [--shards K] [--substation-fanin N] [--workers N] [--mp-restart] \
+         [--substation-fanin N] [--workers N] [--mp-restart] \
          [--mp-deadline-ms N] [--csv]"
     );
     ExitCode::FAILURE

@@ -1,75 +1,20 @@
-//! Golden-output battery of the `hansim city` subcommand.
+//! Misuse battery of the `hansim city` subcommand.
 //!
-//! The CLI face of the city layer's headline contract:
+//! The CLI face of the city layer's contract (byte identity across
+//! worker counts lives in `cli_city_mp.rs`):
 //!
-//! 1. The printed report is **byte-identical** for every valid `--shards`
-//!    value (the shard count is an execution detail, never a result).
-//! 2. `--engine` is rejected with the typed `CliError::Invalid` message —
-//!    the city always runs the shared-heap event backend, so offering the
-//!    flag would be a lie.
-//! 3. Misuse (zero feeders, more shards than feeders, malformed counts)
-//!    fails through the typed error path with a non-zero exit and a
-//!    one-line `error:` diagnostic — never a panic backtrace.
+//! 1. `--engine` is rejected with the typed `CliError::Invalid` message —
+//!    the city always runs the round loop, so offering the flag would be
+//!    a lie.
+//! 2. `--shards` is gone: the city has one execution path, and the flag
+//!    fails as an unknown flag.
+//! 3. Misuse (zero feeders, malformed counts) fails through the typed
+//!    error path with a non-zero exit and a one-line `error:` diagnostic
+//!    — never a panic backtrace.
 
 mod common;
 
-use common::{assert_bytes_eq, hansim};
-
-/// A small city that still exercises multi-feeder reduction: 3 feeders
-/// x 2 homes x 5 devices for 40 minutes.
-fn city_args<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-    let mut args = vec![
-        "city",
-        "--feeders",
-        "3",
-        "--homes-per-feeder",
-        "2",
-        "--devices",
-        "5",
-        "--minutes",
-        "40",
-        "--seed",
-        "7",
-    ];
-    args.extend_from_slice(extra);
-    args
-}
-
-#[test]
-fn report_is_byte_identical_across_shard_counts() {
-    let one = hansim(&city_args(&["--shards", "1"]));
-    assert!(one.status.success(), "1-shard run failed: {one:?}");
-    assert!(
-        !one.stdout.is_empty(),
-        "the report must not be empty (golden output vacuous otherwise)"
-    );
-    for shards in ["2", "3"] {
-        let sharded = hansim(&city_args(&["--shards", shards]));
-        assert!(sharded.status.success(), "{shards}-shard run failed");
-        assert_bytes_eq(
-            &one.stdout,
-            &sharded.stdout,
-            &format!("--shards 1 vs --shards {shards}"),
-        );
-    }
-    // The automatic partition (no --shards) prints the same report too.
-    let auto = hansim(&city_args(&[]));
-    assert!(auto.status.success());
-    assert_bytes_eq(&one.stdout, &auto.stdout, "--shards 1 vs auto shards");
-}
-
-#[test]
-fn csv_series_is_shard_invariant_too() {
-    // The raw per-minute series is the strictest text probe the CLI has.
-    let one = hansim(&city_args(&["--csv", "--shards", "1"]));
-    let three = hansim(&city_args(&["--csv", "--shards", "3"]));
-    assert!(one.status.success() && three.status.success());
-    assert!(
-        String::from_utf8_lossy(&one.stdout).starts_with("minute,uncoordinated,coordinated"),
-        "CSV header missing"
-    );
-    assert_bytes_eq(&one.stdout, &three.stdout, "CSV --shards 1 vs --shards 3");
-}
+use common::hansim;
 
 #[test]
 fn engine_flag_is_rejected_with_a_typed_error() {
@@ -112,13 +57,15 @@ fn zero_feeders_is_a_typed_scenario_error() {
 }
 
 #[test]
-fn oversized_shard_count_is_a_typed_scenario_error() {
-    let out = hansim(&["city", "--feeders", "2", "--shards", "5"]);
-    assert!(!out.status.success());
+fn shards_flag_is_rejected_as_unknown() {
+    // The city has one execution path, so there is no shard count left
+    // to set; the old flag fails through CliError::UnknownFlag.
+    let out = hansim(&["city", "--feeders", "2", "--shards", "2"]);
+    assert!(!out.status.success(), "--shards must be rejected");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("error: cannot partition 2 feeder(s) across 5 shards"),
-        "expected the TooManyShards diagnostic, got: {stderr}"
+        stderr.contains("error: unknown flag '--shards'"),
+        "expected the typed unknown-flag diagnostic, got: {stderr}"
     );
     assert!(
         !stderr.contains("panicked"),
@@ -131,7 +78,7 @@ fn malformed_counts_fail_through_the_usage_path() {
     for (flag, value) in [
         ("--feeders", "many"),
         ("--homes-per-feeder", "-1"),
-        ("--shards", "2.5"),
+        ("--substation-fanin", "2.5"),
     ] {
         let out = hansim(&["city", flag, value]);
         assert!(!out.status.success(), "{flag} {value} must fail");

@@ -84,7 +84,11 @@ fn csv_series_is_worker_invariant_too() {
         "CSV header missing"
     );
     assert_bytes_eq(&one.stdout, &three.stdout, "CSV --workers 1 vs 3");
-    assert_bytes_eq(&in_process.stdout, &one.stdout, "CSV in-process vs --workers 1");
+    assert_bytes_eq(
+        &in_process.stdout,
+        &one.stdout,
+        "CSV in-process vs --workers 1",
+    );
 }
 
 #[test]
@@ -188,7 +192,7 @@ fn mp_restart_recovers_a_crashed_worker_byte_identically() {
 #[test]
 fn worker_misuse_fails_through_typed_errors() {
     // Zero workers and more workers than feeders: the typed
-    // BadWorkerCount diagnostic, mirroring the shard-count rule.
+    // BadWorkerCount diagnostic (feeders are the partitioning unit).
     for (workers, needle) in [
         ("0", "cannot run 3 feeder(s) across 0 worker process(es)"),
         ("9", "cannot run 3 feeder(s) across 9 worker process(es)"),

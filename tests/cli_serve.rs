@@ -9,13 +9,15 @@
 //! window. The finished report must be **byte-identical** to an
 //! uninterrupted replay-mode run of the same telemetry — the serve
 //! report deliberately excludes the engine event count, the one field
-//! the restore contract exempts.
+//! the restore contract exempts. A client streaming an over-long line
+//! gets a typed `ERR` and is dropped while the daemon keeps serving.
 
 mod common;
 
 use common::{connect, free_port, hansim_cmd, roundtrip, wait_report};
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Stdio};
+use std::time::Duration;
 
 /// The telemetry every run ingests: two arrivals, a cap change, an
 /// early release (refused by the minDCD interlock — visible as
@@ -124,6 +126,40 @@ fn daemon_kill_and_restore_report_is_byte_identical() {
         report, reference,
         "kill/restore report must byte-match the uninterrupted run"
     );
+}
+
+#[test]
+fn overlong_line_is_refused_and_the_daemon_keeps_serving() {
+    let port = free_port();
+    let daemon = spawn_daemon(port, &[]);
+    let stream = connect(port);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+
+    // A mebibyte with no newline. The daemon drops the connection while
+    // it is still being written, so the write is expected to fail.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read the ERR reply");
+    assert_eq!(reply.trim_end(), "ERR line exceeds 65536 bytes");
+    flood.join().expect("flood thread");
+    drop(reader);
+
+    // Only that client was dropped: a fresh connection is served.
+    let mut client = BufReader::new(connect(port));
+    let status = roundtrip(&mut client, "STATUS");
+    assert!(
+        status.starts_with("OK round=0/601 "),
+        "status reply: {status}"
+    );
+    assert_eq!(roundtrip(&mut client, "SHUTDOWN"), "OK bye");
+    drop(client);
+    wait_report(daemon);
 }
 
 #[test]

@@ -19,7 +19,10 @@ pub fn hansim_cmd() -> Command {
 
 /// Runs `hansim` with `args` to completion and returns its output.
 pub fn hansim(args: &[&str]) -> Output {
-    hansim_cmd().args(args).output().expect("hansim binary runs")
+    hansim_cmd()
+        .args(args)
+        .output()
+        .expect("hansim binary runs")
 }
 
 /// Spawns `hansim` with `args`, stdout piped, stderr captured.
