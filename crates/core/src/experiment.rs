@@ -265,22 +265,8 @@ fn run_strategy_inner(
 ///
 /// [`ScenarioError`] if the scenario is invalid.
 pub fn compare(scenario: &Scenario, cp: CpModel) -> Result<Comparison, ScenarioError> {
-    compare_on(scenario, cp, EngineKind::Round)
-}
-
-/// [`compare`] on an explicit simulation backend (see
-/// [`run_strategy_on`]).
-///
-/// # Errors
-///
-/// [`ScenarioError`] if the scenario is invalid.
-pub fn compare_on(
-    scenario: &Scenario,
-    cp: CpModel,
-    engine: EngineKind,
-) -> Result<Comparison, ScenarioError> {
-    let uncoordinated = run_strategy_on(scenario, Strategy::Uncoordinated, cp.clone(), engine)?;
-    let coordinated = run_strategy_on(scenario, Strategy::coordinated(), cp, engine)?;
+    let uncoordinated = run_strategy(scenario, Strategy::Uncoordinated, cp.clone())?;
+    let coordinated = run_strategy(scenario, Strategy::coordinated(), cp)?;
     Ok(Comparison {
         scenario: scenario.clone(),
         uncoordinated,

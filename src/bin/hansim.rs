@@ -2,52 +2,66 @@
 //!
 //! Runs one HAN load-management experiment — or a whole multi-home
 //! neighborhood, optionally under a feeder coordination signal — and
-//! prints a report (or the raw per-minute series as CSV).
+//! prints a report (or the raw per-minute series as CSV). `hansim serve`
+//! runs one home as a daemon and `hansim city` runs a whole city; all
+//! three modes read the same scenario flags through one parser.
 //!
 //! ```text
-//! Usage: hansim [OPTIONS]
-//!        hansim serve [OPTIONS]   long-lived online service mode (below)
-//!        hansim city [OPTIONS]    city-scale run (below)
+//! Usage: hansim [OPTIONS]         one home, or a neighborhood (batch)
+//!        hansim serve [OPTIONS]   long-lived online service mode
+//!        hansim city [OPTIONS]    city-scale run
+//!
+//! Scenario flags (every mode):
 //!   --rate <low|moderate|high|N>   aggregate request rate (default: high)
 //!   --workload <poisson|daily>     arrival process (default: poisson;
 //!                                  daily = time-of-day household profile,
 //!                                  ignores --rate)
-//!   --strategy <coordinated|uncoordinated|centralized|compare>
-//!                                  scheduling strategy (default: compare;
-//!                                  neighborhood runs always compare)
 //!   --cp <ideal|lossy:P|ge:PGB,PBG|packet>
 //!                                  communication plane (default: ideal;
 //!                                  ge = Gilbert-Elliott burst loss with
-//!                                  good/bad transition probabilities)
+//!                                  good/bad transition probabilities;
+//!                                  serve takes ideal or lossy only)
+//!   --minutes <N>                  duration in minutes (default: 350,
+//!                                  city: 120; at most 307445734561, the
+//!                                  span of the u64 µs simulated clock)
+//!   --devices <N>                  number of 1 kW devices (default: 26)
+//!   --faults <spec>                scripted fault plan, e.g.
+//!                                  "down:3@10; up:3@40; outage:60-65"
+//!                                  (see han_core::fault for the grammar);
+//!                                  every home suffers the same timeline,
+//!                                  a single home reports resilience
+//!   --seed <N>                     workload/channel seed (default: 0)
+//!
+//! Single-home flags (batch and serve):
+//!   --strategy <coordinated|uncoordinated|centralized|compare>
+//!                                  scheduling strategy (default: compare,
+//!                                  serve: coordinated; serve needs a
+//!                                  single strategy, neighborhood runs
+//!                                  always compare)
 //!   --engine <round|event>         simulation backend (default: round;
 //!                                  event = typed events on the han-sim
 //!                                  discrete-event engine, bit-identical
 //!                                  by contract)
-//!   --minutes <N>                  duration in minutes (default: 350)
-//!   --devices <N>                  number of 1 kW devices (default: 26)
+//!   --stale-ttl <N>                age out unrefreshed peer records after
+//!                                  N rounds (off by default for
+//!                                  bit-compatibility)
+//!   --checkpoint <path>            batch: run to completion but snapshot
+//!                                  the mid-run state to <path> (single
+//!                                  strategy); serve: where snapshots go
+//!   --restore <path>               resume from a snapshot instead of
+//!                                  simulating from round zero; the report
+//!                                  is byte-identical to the uninterrupted
+//!                                  run
+//!   --flight <FILE>                flight-recorder ring as JSONL; also
+//!                                  auto-dumped the moment a fault fires
+//!
+//! Batch flags:
 //!   --homes <N>                    homes on one feeder (default: 1 —
 //!                                  today's single-home behavior; >1 runs
 //!                                  the neighborhood layer, per-home seeds)
 //!   --feeder <cap:KW|tou|congestion[:U]>
 //!                                  broadcast a feeder coordination signal
 //!                                  and iterate homes to convergence
-//!   --faults <spec>                scripted fault plan, e.g.
-//!                                  "down:3@10; up:3@40; outage:60-65"
-//!                                  (see han_core::fault for the grammar);
-//!                                  single home: resilience metrics are
-//!                                  reported; neighborhood: every home
-//!                                  suffers the same timeline
-//!   --stale-ttl <N>                age out unrefreshed peer records after
-//!                                  N rounds (single home only; off by
-//!                                  default for bit-compatibility)
-//!   --checkpoint <path>            run to completion but snapshot the
-//!                                  mid-run state to <path> (single home,
-//!                                  single strategy)
-//!   --restore <path>               resume from a snapshot instead of
-//!                                  simulating from round zero; the report
-//!                                  is byte-identical to the uninterrupted
-//!                                  run
-//!   --seed <N>                     workload/channel seed (default: 0)
 //!   --csv                          per-minute series as CSV (single home:
 //!                                  per-strategy loads; neighborhood: the
 //!                                  feeder aggregate per policy)
@@ -58,20 +72,15 @@
 //!   --trace <FILE>                 record per-phase spans and write a
 //!                                  Chrome trace_event JSON document
 //!                                  (open in chrome://tracing / Perfetto)
-//!   --flight <FILE>                flight-recorder ring as JSONL; also
-//!                                  auto-dumped the moment a fault fires
 //!   --feeder-trace <FILE>          per-iteration feeder convergence
 //!                                  trace as CSV (requires --feeder)
 //!
-//! Serve mode (`hansim serve`) runs one single-home scenario as a
-//! daemon: simulated time advances against the chosen pace, telemetry
-//! can be injected while it runs, and a newline-delimited TCP protocol
-//! (STATUS / SCHEDULE / FEEDER / INJECT / ADVANCE / CHECKPOINT /
-//! METRICS / DUMP / SHUTDOWN) answers queries. Scenario flags (--rate, --workload,
-//! --minutes, --devices, --cp, --engine, --faults, --stale-ttl, --seed)
-//! apply as above; --strategy must name a single strategy (default:
-//! coordinated). Serve-specific flags:
-//!
+//! Serve mode runs one single-home scenario as a daemon: simulated time
+//! advances against the chosen pace, telemetry can be injected while it
+//! runs, and a newline-delimited TCP protocol (STATUS / SCHEDULE /
+//! FEEDER / INJECT / ADVANCE / CHECKPOINT / METRICS / DUMP / SHUTDOWN)
+//! answers queries; CHECKPOINT with no path writes to --checkpoint, and
+//! DUMP over the socket works with or without --flight. Serve flags:
 //!   --listen <ADDR>                serve the protocol on ADDR (e.g.
 //!                                  127.0.0.1:7788); without it, serve
 //!                                  runs in replay mode and exits at the
@@ -80,29 +89,18 @@
 //!                                  (same grammar as INJECT) — a replayed
 //!                                  run is byte-identical to a batch run
 //!                                  whose trace carried the same events
-//!   --checkpoint <PATH>            where snapshots go (CHECKPOINT with
-//!                                  no path, and auto-checkpoints)
 //!   --checkpoint-every <MIN>       auto-checkpoint every MIN simulated
 //!                                  minutes (atomic rename into --checkpoint)
-//!   --restore <PATH>               resume a killed daemon from its last
-//!                                  snapshot; the finished report is
-//!                                  byte-identical to an uninterrupted run
 //!   --pace-us <N>                  one simulated round per N wall µs
 //!                                  (2000000 = real time; default: free-run)
 //!   --manual                       advance only on ADVANCE commands
-//!   --flight <FILE>                auto-dump the flight-recorder ring
-//!                                  here whenever a fault fires (DUMP
-//!                                  over the socket works regardless)
 //!
-//! City mode (`hansim city`) runs feeders × homes-per-feeder homes, each
-//! on the round loop and in parallel, folds every home into its feeder
-//! (see han_core::city) and prints the reduced feeder → substation →
-//! city report. Per-home results are digest-identical to the same homes
-//! run through the neighborhood path. Scenario flags (--rate,
-//! --workload, --minutes, --devices, --cp, --faults, --seed) apply as
-//! above; --engine is rejected (the city always runs the round loop).
-//! City-specific flags:
-//!
+//! City mode runs feeders × homes-per-feeder homes, each on the round
+//! loop and in parallel, folds every home into its feeder (see
+//! han_core::city) and prints the reduced feeder → substation → city
+//! report. Per-home results are digest-identical to the same homes run
+//! through the neighborhood path. --engine is rejected (the city always
+//! runs the round loop). City flags:
 //!   --feeders <N>                  feeders in the city (default: 4)
 //!   --homes-per-feeder <M>         homes on each feeder (default: 4)
 //!   --substation-fanin <N>         feeders per substation in the
@@ -123,9 +121,7 @@
 
 use smart_han::core::city::mp::{self, MpOptions, WorkerConnection, WorkerError};
 use smart_han::core::city::{City, CityReport, CitySpec};
-use smart_han::core::experiment::{
-    build_simulation, run_strategy_faulted, summarize_outcome, SAMPLE_INTERVAL,
-};
+use smart_han::core::experiment::{build_simulation, summarize_outcome, SAMPLE_INTERVAL};
 use smart_han::core::feeder::{FeederPolicy, FeederReport, FeederSignal};
 use smart_han::core::online::{serve, OnlineDriver, OnlineError, Pace, ServeOptions};
 use smart_han::metrics::report::series_csv;
@@ -214,10 +210,25 @@ impl From<WorkerError> for CliError {
     }
 }
 
+/// Which subcommand's flags are being parsed: it picks the per-mode
+/// defaults and the mode-only flags [`parse_flags`] accepts. The
+/// scenario flags are the same in every mode.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// `hansim [OPTIONS]`: one home or a neighborhood.
+    Batch,
+    /// `hansim serve`: the online daemon.
+    Serve,
+    /// `hansim city` and its hidden `city-worker` half.
+    City,
+}
+
 /// The communication-plane choice, kept symbolic until all flags are
 /// parsed: `packet` seeds its channel model from `--seed`, which may
 /// legally appear *after* `--cp` on the command line.
+#[derive(Default)]
 enum CpChoice {
+    #[default]
     Ideal,
     Lossy(f64),
     /// Gilbert-Elliott burst loss: perfect good state, total loss in the
@@ -230,6 +241,29 @@ enum CpChoice {
 }
 
 impl CpChoice {
+    fn parse(value: &str) -> Result<Self, CliError> {
+        let invalid = || CliError::Invalid {
+            flag: "--cp",
+            value: value.to_string(),
+            expected: "ideal|lossy:P|ge:PGB,PBG|packet",
+        };
+        let prob = |p: &str| p.parse().map_err(|_| invalid());
+        if value == "ideal" {
+            Ok(CpChoice::Ideal)
+        } else if value == "packet" {
+            Ok(CpChoice::Packet)
+        } else if let Some(p) = value.strip_prefix("lossy:") {
+            Ok(CpChoice::Lossy(prob(p)?))
+        } else if let Some((gb, bg)) = value.strip_prefix("ge:").and_then(|v| v.split_once(',')) {
+            Ok(CpChoice::Ge {
+                p_good_to_bad: prob(gb)?,
+                p_bad_to_good: prob(bg)?,
+            })
+        } else {
+            Err(invalid())
+        }
+    }
+
     fn build(&self, seed: u64) -> CpModel {
         match self {
             CpChoice::Ideal => CpModel::Ideal,
@@ -250,26 +284,91 @@ impl CpChoice {
     }
 }
 
-struct Args {
+/// The scenario flags every mode shares. The defaults are the paper's
+/// configuration: 26 devices at the high rate for 350 minutes.
+struct ScenarioFlags {
     rate: f64,
-    workload: String,
-    strategy: String,
-    cp: CpModel,
-    engine: EngineKind,
+    daily: bool,
     minutes: u64,
     devices: usize,
-    homes: usize,
-    feeder: Option<FeederSignal>,
+    cp: CpChoice,
     faults: FaultPlan,
+    seed: u64,
+}
+
+impl Default for ScenarioFlags {
+    fn default() -> Self {
+        ScenarioFlags {
+            rate: 30.0,
+            daily: false,
+            minutes: 350,
+            devices: 26,
+            cp: CpChoice::Ideal,
+            faults: FaultPlan::empty(),
+            seed: 0,
+        }
+    }
+}
+
+impl ScenarioFlags {
+    /// The scenario these flags describe, named `{prefix} {rate}/h`.
+    fn scenario(&self, prefix: &str) -> Result<Scenario, ScenarioError> {
+        let workload = if self.daily {
+            Workload::Daily(DailyProfile::typical_household())
+        } else {
+            Workload::Poisson {
+                rate_per_hour: self.rate,
+            }
+        };
+        Scenario::builder(format!("{prefix} {}/h", self.rate))
+            .class(DeviceClass::paper(self.devices))
+            .workload(workload)
+            .duration(SimDuration::from_mins(self.minutes))
+            .seed(self.seed)
+            .build()
+    }
+
+    /// The communication plane, built from the final `--seed`.
+    fn cp(&self) -> CpModel {
+        self.cp.build(self.seed)
+    }
+}
+
+/// Every mode's flags. A mode accepts only its own flags, so the
+/// fields of the other modes keep their defaults.
+#[derive(Default)]
+struct Args {
+    scenario: ScenarioFlags,
+    // Batch and serve.
+    strategy: &'static str,
+    engine: EngineKind,
     stale_ttl: Option<u32>,
     checkpoint: Option<String>,
     restore: Option<String>,
-    seed: u64,
+    flight: Option<String>,
+    // Batch and city.
     csv: bool,
+    // Batch.
+    homes: usize,
+    feeder: Option<FeederSignal>,
     metrics_out: Option<String>,
     trace: Option<String>,
-    flight: Option<String>,
     feeder_trace: Option<String>,
+    // Serve.
+    listen: Option<String>,
+    replay: Option<String>,
+    checkpoint_every_min: Option<u64>,
+    pace_us: Option<u64>,
+    manual: bool,
+    // City.
+    feeders: usize,
+    homes_per_feeder: usize,
+    substation_fanin: usize,
+    /// `Some(n)`: run the city as `n` worker processes (`hansim
+    /// city-worker` children). `None`: in process.
+    workers: Option<usize>,
+    mp_restart: bool,
+    mp_deadline_ms: u64,
 }
 
 impl Args {
@@ -278,6 +377,161 @@ impl Args {
     fn wants_obs(&self) -> bool {
         self.metrics_out.is_some() || self.trace.is_some() || self.flight.is_some()
     }
+}
+
+/// Parses one mode's flags from `it`, the tail of argv after the
+/// subcommand. The scenario flags share their arms across modes, and a
+/// flag of another mode is an unknown flag. Taking the iterator lets the
+/// hidden `city-worker` entry point re-parse its own argv tail here, so
+/// parent and worker derive the city from the *same* grammar and the
+/// handshake fingerprints can only diverge on real version skew.
+fn parse_flags(mode: Mode, mut it: impl Iterator<Item = String>) -> Result<Args, CliError> {
+    use Mode::{Batch, City, Serve};
+    let mut args = Args {
+        strategy: if mode == Batch {
+            "compare"
+        } else {
+            "coordinated"
+        },
+        homes: 1,
+        feeders: 4,
+        homes_per_feeder: 4,
+        mp_deadline_ms: 30_000,
+        ..Args::default()
+    };
+    if mode == City {
+        args.scenario.minutes = 120;
+    }
+    while let Some(flag) = it.next() {
+        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
+        match (mode, flag.as_str()) {
+            (_, "--rate") => {
+                let v = value("--rate")?;
+                args.scenario.rate = match v.as_str() {
+                    "low" => 4.0,
+                    "moderate" => 18.0,
+                    "high" => 30.0,
+                    n => n.parse().map_err(|_| CliError::Invalid {
+                        flag: "--rate",
+                        value: n.to_string(),
+                        expected: "low|moderate|high|N",
+                    })?,
+                };
+            }
+            (_, "--workload") => {
+                let v = value("--workload")?;
+                args.scenario.daily = match v.as_str() {
+                    "poisson" => false,
+                    "daily" => true,
+                    _ => {
+                        return Err(CliError::Invalid {
+                            flag: "--workload",
+                            value: v,
+                            expected: "poisson|daily",
+                        })
+                    }
+                };
+            }
+            (_, "--minutes") => {
+                let v = value("--minutes")?;
+                let minutes: u64 = parse_num(&v, "--minutes")?;
+                // The simulated clock counts u64 microseconds.
+                if minutes.checked_mul(60_000_000).is_none() {
+                    return Err(CliError::Invalid {
+                        flag: "--minutes",
+                        value: v,
+                        expected: "at most 307445734561 minutes (the u64 µs simulated clock)",
+                    });
+                }
+                args.scenario.minutes = minutes;
+            }
+            (_, "--devices") => {
+                args.scenario.devices = parse_num(&value("--devices")?, "--devices")?
+            }
+            (_, "--cp") => args.scenario.cp = CpChoice::parse(&value("--cp")?)?,
+            (_, "--faults") => {
+                let v = value("--faults")?;
+                args.scenario.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
+                    flag: "--faults",
+                    value: v,
+                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65; sigloss:80-90\"",
+                })?;
+            }
+            (_, "--seed") => args.scenario.seed = parse_num(&value("--seed")?, "--seed")?,
+            (Batch | Serve, "--strategy") => {
+                let v = value("--strategy")?;
+                args.strategy = ["coordinated", "uncoordinated", "centralized", "compare"]
+                    .into_iter()
+                    .find(|s| *s == v)
+                    .ok_or_else(|| CliError::Invalid {
+                        flag: "--strategy",
+                        value: v.clone(),
+                        expected: "coordinated|uncoordinated|centralized|compare",
+                    })?;
+            }
+            (Batch | Serve, "--engine") => {
+                let v = value("--engine")?;
+                args.engine = EngineKind::from_flag(&v).ok_or(CliError::Invalid {
+                    flag: "--engine",
+                    value: v,
+                    expected: "round|event",
+                })?;
+            }
+            // The city layer has no backend choice: homes always run the
+            // round loop. Rejected, not ignored — a typed error, never a
+            // silent no-op.
+            (City, "--engine") => {
+                return Err(CliError::Invalid {
+                    flag: "--engine",
+                    value: value("--engine").unwrap_or_else(|_| "absent".into()),
+                    expected: "no --engine in city mode (always the round loop)",
+                });
+            }
+            (Batch | Serve, "--stale-ttl") => {
+                args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
+            }
+            (Batch | Serve, "--checkpoint") => args.checkpoint = Some(value("--checkpoint")?),
+            (Batch | Serve, "--restore") => args.restore = Some(value("--restore")?),
+            (Batch | Serve, "--flight") => args.flight = Some(value("--flight")?),
+            (Batch | City, "--csv") => args.csv = true,
+            (Batch, "--homes") => args.homes = parse_num(&value("--homes")?, "--homes")?,
+            (Batch, "--feeder") => args.feeder = Some(parse_feeder(&value("--feeder")?)?),
+            (Batch, "--metrics-out") => args.metrics_out = Some(value("--metrics-out")?),
+            (Batch, "--trace") => args.trace = Some(value("--trace")?),
+            (Batch, "--feeder-trace") => args.feeder_trace = Some(value("--feeder-trace")?),
+            (Serve, "--listen") => args.listen = Some(value("--listen")?),
+            (Serve, "--replay") => args.replay = Some(value("--replay")?),
+            (Serve, "--checkpoint-every") => {
+                args.checkpoint_every_min = Some(parse_num(
+                    &value("--checkpoint-every")?,
+                    "--checkpoint-every",
+                )?)
+            }
+            (Serve, "--pace-us") => {
+                args.pace_us = Some(parse_num(&value("--pace-us")?, "--pace-us")?)
+            }
+            (Serve, "--manual") => args.manual = true,
+            (City, "--feeders") => args.feeders = parse_num(&value("--feeders")?, "--feeders")?,
+            (City, "--homes-per-feeder") => {
+                args.homes_per_feeder =
+                    parse_num(&value("--homes-per-feeder")?, "--homes-per-feeder")?
+            }
+            (City, "--substation-fanin") => {
+                args.substation_fanin =
+                    parse_num(&value("--substation-fanin")?, "--substation-fanin")?
+            }
+            (City, "--workers") => {
+                args.workers = Some(parse_num(&value("--workers")?, "--workers")?)
+            }
+            (City, "--mp-restart") => args.mp_restart = true,
+            (City, "--mp-deadline-ms") => {
+                args.mp_deadline_ms = parse_num(&value("--mp-deadline-ms")?, "--mp-deadline-ms")?
+            }
+            (_, "--help" | "-h") => return Err(CliError::Usage),
+            _ => return Err(CliError::UnknownFlag { flag }),
+        }
+    }
+    Ok(args)
 }
 
 fn parse_feeder(value: &str) -> Result<FeederSignal, CliError> {
@@ -307,149 +561,30 @@ fn parse_feeder(value: &str) -> Result<FeederSignal, CliError> {
     }
 }
 
-fn parse_args() -> Result<Args, CliError> {
-    let mut args = Args {
-        rate: 30.0,
-        workload: "poisson".into(),
-        strategy: "compare".into(),
-        cp: CpModel::Ideal,
-        engine: EngineKind::Round,
-        minutes: 350,
-        devices: 26,
-        homes: 1,
-        feeder: None,
-        faults: FaultPlan::empty(),
-        stale_ttl: None,
-        checkpoint: None,
-        restore: None,
-        seed: 0,
-        csv: false,
-        metrics_out: None,
-        trace: None,
-        flight: None,
-        feeder_trace: None,
-    };
-    let mut cp_choice = CpChoice::Ideal;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
-        match flag.as_str() {
-            "--rate" => {
-                let v = value("--rate")?;
-                args.rate = match v.as_str() {
-                    "low" => 4.0,
-                    "moderate" => 18.0,
-                    "high" => 30.0,
-                    n => n.parse().map_err(|_| CliError::Invalid {
-                        flag: "--rate",
-                        value: n.to_string(),
-                        expected: "low|moderate|high|N",
-                    })?,
-                };
-            }
-            "--workload" => {
-                let v = value("--workload")?;
-                match v.as_str() {
-                    "poisson" | "daily" => args.workload = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--workload",
-                            value: other.to_string(),
-                            expected: "poisson|daily",
-                        })
-                    }
-                }
-            }
-            "--strategy" => {
-                let v = value("--strategy")?;
-                match v.as_str() {
-                    "coordinated" | "uncoordinated" | "centralized" | "compare" => {
-                        args.strategy = v;
-                    }
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--strategy",
-                            value: other.to_string(),
-                            expected: "coordinated|uncoordinated|centralized|compare",
-                        })
-                    }
-                }
-            }
-            "--cp" => {
-                let v = value("--cp")?;
-                let invalid = |v: &str| CliError::Invalid {
-                    flag: "--cp",
-                    value: v.to_string(),
-                    expected: "ideal|lossy:P|ge:PGB,PBG|packet",
-                };
-                cp_choice = if v == "ideal" {
-                    CpChoice::Ideal
-                } else if v == "packet" {
-                    CpChoice::Packet
-                } else if let Some(p) = v.strip_prefix("lossy:") {
-                    let p: f64 = p.parse().map_err(|_| invalid(&v))?;
-                    CpChoice::Lossy(p)
-                } else if let Some(probs) = v.strip_prefix("ge:") {
-                    let (gb, bg) = probs.split_once(',').ok_or_else(|| invalid(&v))?;
-                    CpChoice::Ge {
-                        p_good_to_bad: gb.parse().map_err(|_| invalid(&v))?,
-                        p_bad_to_good: bg.parse().map_err(|_| invalid(&v))?,
-                    }
-                } else {
-                    return Err(invalid(&v));
-                };
-            }
-            "--engine" => {
-                let v = value("--engine")?;
-                args.engine = EngineKind::from_flag(&v).ok_or(CliError::Invalid {
-                    flag: "--engine",
-                    value: v,
-                    expected: "round|event",
-                })?;
-            }
-            "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--homes" => args.homes = parse_num(&value("--homes")?, "--homes")?,
-            "--feeder" => args.feeder = Some(parse_feeder(&value("--feeder")?)?),
-            "--faults" => {
-                let v = value("--faults")?;
-                args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
-                    flag: "--faults",
-                    value: v,
-                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65; sigloss:80-90\"",
-                })?;
-            }
-            "--stale-ttl" => {
-                args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
-            }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--restore" => args.restore = Some(value("--restore")?),
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--csv" => args.csv = true,
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--flight" => args.flight = Some(value("--flight")?),
-            "--feeder-trace" => args.feeder_trace = Some(value("--feeder-trace")?),
-            "--help" | "-h" => return Err(CliError::Usage),
-            other => {
-                return Err(CliError::UnknownFlag {
-                    flag: other.to_string(),
-                })
-            }
-        }
-    }
-    // Built last so the packet model's channel seed honors `--seed`
-    // regardless of flag order.
-    args.cp = cp_choice.build(args.seed);
-    Ok(args)
-}
-
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &'static str) -> Result<T, CliError> {
     value.parse().map_err(|_| CliError::Invalid {
         flag,
         value: value.to_string(),
         expected: "a number",
     })
+}
+
+/// Fails with the first of `flags` that was given: each is a flag name
+/// and whether it is present, and `value`/`expected` say why it does
+/// not apply.
+fn reject_present(
+    flags: &[(&'static str, bool)],
+    value: &str,
+    expected: &'static str,
+) -> Result<(), CliError> {
+    match flags.iter().find(|(_, present)| *present) {
+        Some((flag, _)) => Err(CliError::Invalid {
+            flag,
+            value: value.to_string(),
+            expected,
+        }),
+        None => Ok(()),
+    }
 }
 
 fn strategy_by_name(name: &str) -> Strategy {
@@ -463,21 +598,6 @@ fn strategy_by_name(name: &str) -> Strategy {
         },
         other => unreachable!("validated earlier: {other}"),
     }
-}
-
-fn build_scenario(args: &Args) -> Result<Scenario, ScenarioError> {
-    let workload = match args.workload.as_str() {
-        "daily" => Workload::Daily(DailyProfile::typical_household()),
-        _ => Workload::Poisson {
-            rate_per_hour: args.rate,
-        },
-    };
-    Scenario::builder(format!("cli {}/h", args.rate))
-        .class(DeviceClass::paper(args.devices))
-        .workload(workload)
-        .duration(SimDuration::from_mins(args.minutes))
-        .seed(args.seed)
-        .build()
 }
 
 fn cost_line(cost: &CostBreakdown) -> String {
@@ -535,33 +655,16 @@ fn run_one(
     strategy: Strategy,
     sink: Option<&Arc<ObsSink>>,
 ) -> Result<StrategyResult, CliError> {
-    if args.checkpoint.is_none() && args.restore.is_none() && sink.is_none() {
-        return Ok(run_strategy_faulted(
-            scenario,
-            strategy,
-            args.cp.clone(),
-            args.engine,
-            &args.faults,
-            args.stale_ttl,
-        )?);
-    }
     let mut sim = build_simulation(
         scenario,
         strategy,
-        args.cp.clone(),
+        args.scenario.cp(),
         args.engine,
-        &args.faults,
+        &args.scenario.faults,
         args.stale_ttl,
     )?;
     if let Some(sink) = sink {
         sim.set_observer(Obs::new(sink.clone()));
-    }
-    if args.checkpoint.is_none() && args.restore.is_none() {
-        // The observed plain run: the same configuration
-        // `run_strategy_faulted` builds, with the sink attached before
-        // the first round.
-        sim.set_reference_planning(false);
-        return Ok(summarize_outcome(sim.run(), scenario.duration));
     }
     let outcome = if let Some(path) = &args.restore {
         let bytes = std::fs::read(path).map_err(|error| CliError::Io {
@@ -570,17 +673,18 @@ fn run_one(
         })?;
         let checkpoint = Checkpoint::from_bytes(&bytes).map_err(CliError::Checkpoint)?;
         sim.resume(&checkpoint).map_err(CliError::Checkpoint)?
-    } else {
+    } else if let Some(path) = &args.checkpoint {
         // Snapshot at the midpoint of the timeline (rounds are 2 s, so
         // `minutes * 30 / 2` rounds in), then keep running: the printed
         // report is the full-run report, the file is the restart point.
-        let (outcome, checkpoint) = sim.run_checkpointed(args.minutes * 15);
-        let path = args.checkpoint.as_deref().expect("checked above");
+        let (outcome, checkpoint) = sim.run_checkpointed(args.scenario.minutes * 15);
         std::fs::write(path, checkpoint.to_bytes()).map_err(|error| CliError::Io {
-            path: path.to_string(),
+            path: path.clone(),
             error,
         })?;
         outcome
+    } else {
+        sim.run()
     };
     Ok(summarize_outcome(outcome, scenario.duration))
 }
@@ -595,50 +699,37 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
             expected: "either --checkpoint or --restore, not both",
         });
     }
-    if (args.checkpoint.is_some() || args.restore.is_some()) && args.strategy == "compare" {
-        let flag = if args.checkpoint.is_some() {
-            "--checkpoint"
-        } else {
-            "--restore"
-        };
-        return Err(CliError::Invalid {
-            flag,
-            value: "compare".into(),
-            expected: "a single strategy (checkpoints hold one simulation's state)",
-        });
-    }
     if args.strategy == "compare" {
-        for (flag, present) in [
-            ("--metrics-out", args.metrics_out.is_some()),
-            ("--trace", args.trace.is_some()),
-            ("--flight", args.flight.is_some()),
-        ] {
-            if present {
-                return Err(CliError::Invalid {
-                    flag,
-                    value: "compare".into(),
-                    expected: "a single strategy (observability artifacts cover one simulation)",
-                });
-            }
-        }
+        reject_present(
+            &[
+                ("--checkpoint", args.checkpoint.is_some()),
+                ("--restore", args.restore.is_some()),
+            ],
+            "compare",
+            "a single strategy (checkpoints hold one simulation's state)",
+        )?;
+        reject_present(
+            &[
+                ("--metrics-out", args.metrics_out.is_some()),
+                ("--trace", args.trace.is_some()),
+                ("--flight", args.flight.is_some()),
+            ],
+            "compare",
+            "a single strategy (observability artifacts cover one simulation)",
+        )?;
     }
-    if args.feeder_trace.is_some() {
-        return Err(CliError::Invalid {
-            flag: "--feeder-trace",
-            value: "without --feeder".into(),
-            expected: "--feeder SIGNAL (the trace records feeder coordination iterates)",
-        });
-    }
+    reject_present(
+        &[("--feeder-trace", args.feeder_trace.is_some())],
+        "without --feeder",
+        "--feeder SIGNAL (the trace records feeder coordination iterates)",
+    )?;
     let named: Vec<(&str, Strategy)> = if args.strategy == "compare" {
         vec![
             ("uncoordinated", Strategy::Uncoordinated),
             ("coordinated", Strategy::coordinated()),
         ]
     } else {
-        vec![(
-            Box::leak(args.strategy.clone().into_boxed_str()),
-            strategy_by_name(&args.strategy),
-        )]
+        vec![(args.strategy, strategy_by_name(args.strategy))]
     };
 
     let sink = obs_sink(args);
@@ -661,13 +752,15 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let workload_desc = match args.workload.as_str() {
-        "daily" => "time-of-day household".to_string(),
-        _ => format!("{}/h", args.rate),
+    let flags = &args.scenario;
+    let workload_desc = if flags.daily {
+        "time-of-day household".to_string()
+    } else {
+        format!("{}/h", flags.rate)
     };
     println!(
         "{} devices x 1 kW, {workload_desc} requests, {} min, seed {} (sampled every {})",
-        args.devices, args.minutes, args.seed, SAMPLE_INTERVAL
+        flags.devices, flags.minutes, flags.seed, SAMPLE_INTERVAL
     );
     let billing = Billing::typical_residential();
     let end = SimTime::ZERO + scenario.duration;
@@ -684,12 +777,12 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         );
         let cost = billing.cost(&r.outcome.trace, SimTime::ZERO, end);
         println!("         bill: {}", cost_line(&cost));
-        if !args.faults.is_empty() {
+        if !flags.faults.is_empty() {
             let res = &r.outcome.resilience;
             println!(
                 "         resilience: availability {:.4} | node-down rounds {} | \
                  outage rounds {} | misses while down/during outage {}/{}",
-                res.availability(r.outcome.cp.rounds, args.devices),
+                res.availability(r.outcome.cp.rounds, flags.devices),
                 res.down_node_rounds,
                 res.outage_rounds,
                 res.misses_while_down,
@@ -782,55 +875,47 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
     if args.strategy != "compare" {
         return Err(CliError::Invalid {
             flag: "--strategy",
-            value: args.strategy.clone(),
+            value: args.strategy.into(),
             expected: "compare (neighborhood runs always compare)",
         });
     }
-    for (flag, present) in [
-        ("--stale-ttl", args.stale_ttl.is_some()),
-        ("--checkpoint", args.checkpoint.is_some()),
-        ("--restore", args.restore.is_some()),
-    ] {
-        if present {
-            return Err(CliError::Invalid {
-                flag,
-                value: "with a neighborhood".into(),
-                expected: "a single home (--homes 1, no --feeder)",
-            });
-        }
-    }
+    reject_present(
+        &[
+            ("--stale-ttl", args.stale_ttl.is_some()),
+            ("--checkpoint", args.checkpoint.is_some()),
+            ("--restore", args.restore.is_some()),
+        ],
+        "with a neighborhood",
+        "a single home (--homes 1, no --feeder)",
+    )?;
     // Neighborhood observability covers the feeder coordination run —
     // per-home engines build their simulations internally. Without a
     // signal there is nothing for the sink (or the trace CSV) to record.
     if args.feeder.is_none() {
-        for (flag, present) in [
-            ("--metrics-out", args.metrics_out.is_some()),
-            ("--trace", args.trace.is_some()),
-            ("--flight", args.flight.is_some()),
-            ("--feeder-trace", args.feeder_trace.is_some()),
-        ] {
-            if present {
-                return Err(CliError::Invalid {
-                    flag,
-                    value: "with a neighborhood".into(),
-                    expected: "--feeder SIGNAL (neighborhood observability covers the \
-                               coordination run)",
-                });
-            }
-        }
+        reject_present(
+            &[
+                ("--metrics-out", args.metrics_out.is_some()),
+                ("--trace", args.trace.is_some()),
+                ("--flight", args.flight.is_some()),
+                ("--feeder-trace", args.feeder_trace.is_some()),
+            ],
+            "with a neighborhood",
+            "--feeder SIGNAL (neighborhood observability covers the coordination run)",
+        )?;
     }
+    let flags = &args.scenario;
     let mut hood = Neighborhood::uniform(
         format!("cli street x{}", args.homes),
         scenario,
-        args.cp.clone(),
+        flags.cp(),
         args.homes,
     )?
     .on_engine(args.engine);
-    if !args.faults.is_empty() {
+    if !flags.faults.is_empty() {
         // Every home suffers the same scripted timeline (homes fail
         // independently inside their own HANs).
         for home in &mut hood.homes {
-            home.faults = args.faults.clone();
+            home.faults = flags.faults.clone();
         }
     }
     let report = hood.run()?;
@@ -871,10 +956,10 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         "{}: {} homes x {} devices, {} min, seeds {}..{}",
         hood.name,
         args.homes,
-        args.devices,
-        args.minutes,
-        args.seed,
-        args.seed + args.homes as u64 - 1,
+        flags.devices,
+        flags.minutes,
+        flags.seed,
+        flags.seed.wrapping_add(args.homes as u64 - 1),
     );
     let billing = Billing::typical_residential();
     println!(
@@ -914,147 +999,6 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Serve-mode arguments: the single-home scenario flags plus the
-/// daemon-specific ones.
-struct ServeArgs {
-    rate: f64,
-    workload: String,
-    strategy: String,
-    cp: CpModel,
-    engine: EngineKind,
-    minutes: u64,
-    devices: usize,
-    faults: FaultPlan,
-    stale_ttl: Option<u32>,
-    seed: u64,
-    listen: Option<String>,
-    replay: Option<String>,
-    checkpoint: Option<String>,
-    checkpoint_every_min: Option<u64>,
-    restore: Option<String>,
-    pace_us: Option<u64>,
-    manual: bool,
-    flight: Option<String>,
-}
-
-fn parse_serve_args() -> Result<ServeArgs, CliError> {
-    let mut args = ServeArgs {
-        rate: 30.0,
-        workload: "poisson".into(),
-        strategy: "coordinated".into(),
-        cp: CpModel::Ideal,
-        engine: EngineKind::Round,
-        minutes: 350,
-        devices: 26,
-        faults: FaultPlan::empty(),
-        stale_ttl: None,
-        seed: 0,
-        listen: None,
-        replay: None,
-        checkpoint: None,
-        checkpoint_every_min: None,
-        restore: None,
-        pace_us: None,
-        manual: false,
-        flight: None,
-    };
-    let mut cp_choice = CpChoice::Ideal;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
-        match flag.as_str() {
-            "--rate" => args.rate = parse_num(&value("--rate")?, "--rate")?,
-            "--workload" => {
-                let v = value("--workload")?;
-                match v.as_str() {
-                    "poisson" | "daily" => args.workload = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--workload",
-                            value: other.to_string(),
-                            expected: "poisson|daily",
-                        })
-                    }
-                }
-            }
-            "--strategy" => {
-                let v = value("--strategy")?;
-                match v.as_str() {
-                    "coordinated" | "uncoordinated" | "centralized" => args.strategy = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--strategy",
-                            value: other.to_string(),
-                            expected: "a single strategy (serve holds one simulation's state)",
-                        })
-                    }
-                }
-            }
-            "--cp" => {
-                let v = value("--cp")?;
-                cp_choice = if v == "ideal" {
-                    CpChoice::Ideal
-                } else if let Some(p) = v.strip_prefix("lossy:") {
-                    CpChoice::Lossy(p.parse().map_err(|_| CliError::Invalid {
-                        flag: "--cp",
-                        value: v.clone(),
-                        expected: "ideal|lossy:P",
-                    })?)
-                } else {
-                    return Err(CliError::Invalid {
-                        flag: "--cp",
-                        value: v,
-                        expected: "ideal|lossy:P (serve mode)",
-                    });
-                };
-            }
-            "--engine" => {
-                let v = value("--engine")?;
-                args.engine = EngineKind::from_flag(&v).ok_or(CliError::Invalid {
-                    flag: "--engine",
-                    value: v,
-                    expected: "round|event",
-                })?;
-            }
-            "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--faults" => {
-                let v = value("--faults")?;
-                args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
-                    flag: "--faults",
-                    value: v,
-                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65\"",
-                })?;
-            }
-            "--stale-ttl" => {
-                args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
-            }
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--listen" => args.listen = Some(value("--listen")?),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every_min = Some(parse_num(
-                    &value("--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?)
-            }
-            "--restore" => args.restore = Some(value("--restore")?),
-            "--pace-us" => args.pace_us = Some(parse_num(&value("--pace-us")?, "--pace-us")?),
-            "--manual" => args.manual = true,
-            "--flight" => args.flight = Some(value("--flight")?),
-            "--help" | "-h" => return Err(CliError::Usage),
-            other => {
-                return Err(CliError::UnknownFlag {
-                    flag: other.to_string(),
-                })
-            }
-        }
-    }
-    args.cp = cp_choice.build(args.seed);
-    Ok(args)
-}
-
 /// The serve-mode final report, printed when the window completes.
 ///
 /// Deliberately *excludes* the engine event count: a daemon restored
@@ -1079,8 +1023,31 @@ fn serve_report(outcome: smart_han::core::SimulationOutcome, minutes: u64) -> St
     )
 }
 
-fn run_serve() -> Result<(), CliError> {
-    let args = parse_serve_args()?;
+fn run_serve(args: &Args) -> Result<(), CliError> {
+    // Serve holds one simulation, and `prop_online` pins streamed ≡ batch
+    // on the ideal and lossy planes only.
+    if args.strategy == "compare" {
+        return Err(CliError::Invalid {
+            flag: "--strategy",
+            value: "compare".into(),
+            expected: "a single strategy (serve holds one simulation's state)",
+        });
+    }
+    let unserved_cp = match args.scenario.cp {
+        CpChoice::Ge {
+            p_good_to_bad,
+            p_bad_to_good,
+        } => Some(format!("ge:{p_good_to_bad},{p_bad_to_good}")),
+        CpChoice::Packet => Some("packet".into()),
+        CpChoice::Ideal | CpChoice::Lossy(_) => None,
+    };
+    if let Some(value) = unserved_cp {
+        return Err(CliError::Invalid {
+            flag: "--cp",
+            value,
+            expected: "ideal|lossy:P (serve mode)",
+        });
+    }
     if args.listen.is_none() && args.replay.is_none() && args.restore.is_none() {
         return Err(CliError::Invalid {
             flag: "--listen",
@@ -1095,23 +1062,27 @@ fn run_serve() -> Result<(), CliError> {
             expected: "--checkpoint PATH to name the snapshot file",
         });
     }
-    let scenario = Scenario::builder(format!("serve {}/h", args.rate))
-        .class(DeviceClass::paper(args.devices))
-        .workload(match args.workload.as_str() {
-            "daily" => Workload::Daily(DailyProfile::typical_household()),
-            _ => Workload::Poisson {
-                rate_per_hour: args.rate,
-            },
+    // Simulated minutes → rounds: one round per period (2 s).
+    let rounds_per_min = 60_000_000 / SimDuration::from_secs(2).as_micros();
+    let checkpoint_every_rounds = args
+        .checkpoint_every_min
+        .map(|m| {
+            m.checked_mul(rounds_per_min)
+                .map(|rounds| rounds.max(1))
+                .ok_or(CliError::Invalid {
+                    flag: "--checkpoint-every",
+                    value: m.to_string(),
+                    expected: "a cadence whose round count fits in u64",
+                })
         })
-        .duration(SimDuration::from_mins(args.minutes))
-        .seed(args.seed)
-        .build()?;
+        .transpose()?;
+    let scenario = args.scenario.scenario("serve")?;
     let sim = build_simulation(
         &scenario,
-        strategy_by_name(&args.strategy),
-        args.cp.clone(),
+        strategy_by_name(args.strategy),
+        args.scenario.cp(),
         args.engine,
-        &args.faults,
+        &args.scenario.faults,
         args.stale_ttl,
     )?;
 
@@ -1137,15 +1108,11 @@ fn run_serve() -> Result<(), CliError> {
         None => Vec::new(),
     };
 
-    // Simulated minutes → rounds: one round per period (2 s).
-    let rounds_per_min = 60_000_000 / SimDuration::from_secs(2).as_micros();
     let options = ServeOptions {
         listen: args.listen.clone(),
         replay,
-        checkpoint_path: args.checkpoint.as_ref().map(std::path::PathBuf::from),
-        checkpoint_every_rounds: args
-            .checkpoint_every_min
-            .map(|m| (m * rounds_per_min).max(1)),
+        checkpoint_path: args.checkpoint.as_ref().map(PathBuf::from),
+        checkpoint_every_rounds,
         pace: if args.manual {
             Pace::Manual
         } else if let Some(us) = args.pace_us {
@@ -1158,183 +1125,28 @@ fn run_serve() -> Result<(), CliError> {
         eprintln!("hansim serve: listening on {addr}");
     }
     match serve(driver, &options)? {
-        Some(outcome) => println!("{}", serve_report(outcome, args.minutes)),
+        Some(outcome) => println!("{}", serve_report(outcome, args.scenario.minutes)),
         None => eprintln!("hansim serve: shut down mid-window (state in last checkpoint)"),
     }
     Ok(())
-}
-
-/// City-mode arguments (`hansim city …`).
-struct CityArgs {
-    feeders: usize,
-    homes_per_feeder: usize,
-    devices: usize,
-    rate: f64,
-    workload: String,
-    minutes: u64,
-    cp: CpModel,
-    faults: FaultPlan,
-    seed: u64,
-    substation_fanin: usize,
-    csv: bool,
-    /// `Some(n)`: run the city as `n` worker processes (`hansim
-    /// city-worker` children). `None`: in process.
-    workers: Option<usize>,
-    mp_restart: bool,
-    mp_deadline_ms: u64,
-}
-
-/// Parses city-mode flags from `it` — the tail of argv after the
-/// subcommand. Taking the iterator (rather than reading `env::args`
-/// here) lets the hidden `city-worker` entry point reuse the exact
-/// parser on its own argv tail, so parent and worker derive the spec
-/// from the *same* grammar and the handshake fingerprints can only
-/// diverge on real version skew.
-fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, CliError> {
-    let mut args = CityArgs {
-        feeders: 4,
-        homes_per_feeder: 4,
-        devices: 26,
-        rate: 30.0,
-        workload: "poisson".into(),
-        minutes: 120,
-        cp: CpModel::Ideal,
-        faults: FaultPlan::empty(),
-        seed: 0,
-        substation_fanin: 0,
-        csv: false,
-        workers: None,
-        mp_restart: false,
-        mp_deadline_ms: 30_000,
-    };
-    let mut cp_choice = CpChoice::Ideal;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
-        match flag.as_str() {
-            "--feeders" => args.feeders = parse_num(&value("--feeders")?, "--feeders")?,
-            "--homes-per-feeder" => {
-                args.homes_per_feeder =
-                    parse_num(&value("--homes-per-feeder")?, "--homes-per-feeder")?
-            }
-            "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--rate" => {
-                let v = value("--rate")?;
-                args.rate = match v.as_str() {
-                    "low" => 4.0,
-                    "moderate" => 18.0,
-                    "high" => 30.0,
-                    n => n.parse().map_err(|_| CliError::Invalid {
-                        flag: "--rate",
-                        value: n.to_string(),
-                        expected: "low|moderate|high|N",
-                    })?,
-                };
-            }
-            "--workload" => {
-                let v = value("--workload")?;
-                match v.as_str() {
-                    "poisson" | "daily" => args.workload = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--workload",
-                            value: other.to_string(),
-                            expected: "poisson|daily",
-                        })
-                    }
-                }
-            }
-            "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--cp" => {
-                let v = value("--cp")?;
-                let invalid = |v: &str| CliError::Invalid {
-                    flag: "--cp",
-                    value: v.to_string(),
-                    expected: "ideal|lossy:P|ge:PGB,PBG|packet",
-                };
-                cp_choice = if v == "ideal" {
-                    CpChoice::Ideal
-                } else if v == "packet" {
-                    CpChoice::Packet
-                } else if let Some(p) = v.strip_prefix("lossy:") {
-                    CpChoice::Lossy(p.parse().map_err(|_| invalid(&v))?)
-                } else if let Some(probs) = v.strip_prefix("ge:") {
-                    let (gb, bg) = probs.split_once(',').ok_or_else(|| invalid(&v))?;
-                    CpChoice::Ge {
-                        p_good_to_bad: gb.parse().map_err(|_| invalid(&v))?,
-                        p_bad_to_good: bg.parse().map_err(|_| invalid(&v))?,
-                    }
-                } else {
-                    return Err(invalid(&v));
-                };
-            }
-            "--faults" => {
-                let v = value("--faults")?;
-                args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
-                    flag: "--faults",
-                    value: v,
-                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65\"",
-                })?;
-            }
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--substation-fanin" => {
-                args.substation_fanin =
-                    parse_num(&value("--substation-fanin")?, "--substation-fanin")?
-            }
-            "--csv" => args.csv = true,
-            "--workers" => args.workers = Some(parse_num(&value("--workers")?, "--workers")?),
-            "--mp-restart" => args.mp_restart = true,
-            "--mp-deadline-ms" => {
-                args.mp_deadline_ms = parse_num(&value("--mp-deadline-ms")?, "--mp-deadline-ms")?
-            }
-            // The city layer has no backend choice: homes always run the
-            // round loop. Rejected, not ignored — a typed error, never a
-            // silent no-op.
-            "--engine" => {
-                let v = value("--engine").unwrap_or_else(|_| "absent".into());
-                return Err(CliError::Invalid {
-                    flag: "--engine",
-                    value: v,
-                    expected: "no --engine in city mode (always the round loop)",
-                });
-            }
-            "--help" | "-h" => return Err(CliError::Usage),
-            other => {
-                return Err(CliError::UnknownFlag {
-                    flag: other.to_string(),
-                })
-            }
-        }
-    }
-    args.cp = cp_choice.build(args.seed);
-    Ok(args)
 }
 
 /// Builds the city spec a set of parsed flags describes. Shared by the
 /// parent (`hansim city`) and the hidden worker (`hansim city-worker`):
 /// both sides derive the spec through this one function, which is what
 /// makes the handshake fingerprint a real equivalence check.
-fn city_spec(args: &CityArgs) -> Result<CitySpec, CliError> {
-    let template = Scenario::builder(format!("city {}/h", args.rate))
-        .class(DeviceClass::paper(args.devices))
-        .workload(match args.workload.as_str() {
-            "daily" => Workload::Daily(DailyProfile::typical_household()),
-            _ => Workload::Poisson {
-                rate_per_hour: args.rate,
-            },
-        })
-        .duration(SimDuration::from_mins(args.minutes))
-        .seed(args.seed)
-        .build()?;
+fn city_spec(args: &Args) -> Result<CitySpec, CliError> {
+    let template = args.scenario.scenario("city")?;
     Ok(CitySpec::uniform(
         format!("cli city {}x{}", args.feeders, args.homes_per_feeder),
         &template,
-        args.cp.clone(),
+        args.scenario.cp(),
         args.feeders,
         args.homes_per_feeder,
     )
-    .with_seed(args.seed)
+    .with_seed(args.scenario.seed)
     .with_substation_fanin(args.substation_fanin)
-    .with_faults(args.faults.clone()))
+    .with_faults(args.scenario.faults.clone()))
 }
 
 /// Spawns `hansim city-worker <index> <count> <city flags…>` children
@@ -1365,10 +1177,10 @@ fn process_launcher(
     }
 }
 
-fn run_city() -> Result<(), CliError> {
-    let city_argv: Vec<String> = std::env::args().skip(2).collect();
-    let args = parse_city_args(city_argv.iter().cloned())?;
-    let spec = city_spec(&args)?;
+/// Runs `hansim city`; `city_argv` is the flag tail `args` was parsed
+/// from, passed through verbatim to worker processes.
+fn run_city(args: &Args, city_argv: Vec<String>) -> Result<(), CliError> {
+    let spec = city_spec(args)?;
     let report = match args.workers {
         None => City::new(spec)?.run()?,
         Some(workers) => {
@@ -1380,7 +1192,7 @@ fn run_city() -> Result<(), CliError> {
             report
         }
     };
-    print_city_report(&report, &args);
+    print_city_report(&report, args);
     Ok(())
 }
 
@@ -1396,7 +1208,7 @@ fn run_city_worker() -> Result<(), CliError> {
     };
     let worker = parse_pos(argv.next(), "city-worker <index>")?;
     let workers = parse_pos(argv.next(), "city-worker <count>")?;
-    let args = parse_city_args(argv)?;
+    let args = parse_flags(Mode::City, argv)?;
     let spec = city_spec(&args)?;
     let stdout = std::io::stdout().lock();
     let mut out = SabotagedWriter::from_env(std::io::BufWriter::new(stdout), worker);
@@ -1479,7 +1291,7 @@ impl<W: Write> Write for SabotagedWriter<W> {
 /// how the report was computed, which is exactly why `--workers N` and
 /// the in-process default print identical bytes (pinned by
 /// tests/cli_city_mp.rs).
-fn print_city_report(report: &CityReport, args: &CityArgs) {
+fn print_city_report(report: &CityReport, args: &Args) {
     if args.csv {
         let minutes: Vec<f64> = (0..report.samples_uncoordinated.len())
             .map(|m| m as f64)
@@ -1503,10 +1315,10 @@ fn print_city_report(report: &CityReport, args: &CityArgs) {
         report.name,
         report.feeders.len(),
         args.homes_per_feeder,
-        args.devices,
+        args.scenario.devices,
         report.devices,
-        args.minutes,
-        args.seed,
+        args.scenario.minutes,
+        args.scenario.seed,
     );
     println!(
         "\n{:<8} {:>6} {:>9} {:>9} {:>8} {:>12}",
@@ -1566,19 +1378,9 @@ fn print_city_report(report: &CityReport, args: &CityArgs) {
 }
 
 fn main() -> ExitCode {
-    match std::env::args().nth(1).as_deref() {
-        Some("serve") => {
-            return match run_serve() {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            };
-        }
-        Some("city") => {
-            return match run_city() {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            };
-        }
+    let mode = match std::env::args().nth(1).as_deref() {
+        Some("serve") => Mode::Serve,
+        Some("city") => Mode::City,
         // The hidden worker half of `city --workers N`. Failures go to
         // stderr with a bare exit — the parent's typed error is the
         // user-facing diagnostic, not this.
@@ -1591,21 +1393,22 @@ fn main() -> ExitCode {
                 }
             };
         }
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
+        _ => Mode::Batch,
     };
-    let scenario = match build_scenario(&args) {
-        Ok(s) => s,
-        Err(e) => return fail(&CliError::Scenario(e)),
-    };
-    let outcome = if args.homes > 1 || args.feeder.is_some() {
-        run_neighborhood(&args, &scenario)
-    } else {
-        run_single_home(&args, &scenario)
-    };
+    let skip = if mode == Mode::Batch { 1 } else { 2 };
+    let argv: Vec<String> = std::env::args().skip(skip).collect();
+    let outcome = parse_flags(mode, argv.iter().cloned()).and_then(|args| match mode {
+        Mode::Batch => {
+            let scenario = args.scenario.scenario("cli")?;
+            if args.homes > 1 || args.feeder.is_some() {
+                run_neighborhood(&args, &scenario)
+            } else {
+                run_single_home(&args, &scenario)
+            }
+        }
+        Mode::Serve => run_serve(&args),
+        Mode::City => run_city(&args, argv),
+    });
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e),
@@ -1617,19 +1420,18 @@ fn fail(error: &CliError) -> ExitCode {
         eprintln!("error: {error}\n");
     }
     eprintln!(
-        "usage: hansim [--rate low|moderate|high|N] [--workload poisson|daily] \
-         [--strategy coordinated|uncoordinated|centralized|compare] \
-         [--cp ideal|lossy:P|ge:PGB,PBG|packet] [--engine round|event] [--minutes N] \
-         [--devices N] [--homes N] [--feeder cap:KW|tou|congestion[:U]] \
-         [--faults SPEC] [--stale-ttl N] [--checkpoint PATH] [--restore PATH] \
-         [--seed N] [--csv] [--metrics-out FILE] [--trace FILE] [--flight FILE] \
-         [--feeder-trace FILE]\n       \
-         hansim serve [scenario flags] [--listen ADDR] [--replay FILE] \
-         [--checkpoint PATH] [--checkpoint-every MIN] [--restore PATH] \
-         [--pace-us N] [--manual] [--flight FILE]\n       \
+        "usage: hansim [scenario flags] [--strategy coordinated|uncoordinated|centralized|compare] \
+         [--engine round|event] [--stale-ttl N] [--checkpoint PATH] [--restore PATH] \
+         [--flight FILE] [--homes N] [--feeder cap:KW|tou|congestion[:U]] [--csv] \
+         [--metrics-out FILE] [--trace FILE] [--feeder-trace FILE]\n       \
+         hansim serve [scenario flags] [--strategy coordinated|uncoordinated|centralized] [--engine round|event] [--stale-ttl N] \
+         [--checkpoint PATH] [--restore PATH] [--flight FILE] [--listen ADDR] [--replay FILE] \
+         [--checkpoint-every MIN] [--pace-us N] [--manual]\n       \
          hansim city [scenario flags] [--feeders N] [--homes-per-feeder M] \
-         [--substation-fanin N] [--workers N] [--mp-restart] \
-         [--mp-deadline-ms N] [--csv]"
+         [--substation-fanin N] [--workers N] [--mp-restart] [--mp-deadline-ms N] [--csv]\n\
+         scenario flags (every mode): [--rate low|moderate|high|N] [--workload poisson|daily] \
+         [--cp ideal|lossy:P|ge:PGB,PBG|packet] [--minutes N] [--devices N] [--faults SPEC] \
+         [--seed N]"
     );
     ExitCode::FAILURE
 }

@@ -110,8 +110,8 @@ pub mod prelude {
     pub use han_core::cp::event::EngineKind;
     pub use han_core::cp::CpModel;
     pub use han_core::experiment::{
-        compare, compare_faulted, compare_on, run_strategy, run_strategy_faulted, run_strategy_on,
-        Comparison, StrategyResult,
+        compare, compare_faulted, run_strategy, run_strategy_faulted, run_strategy_on, Comparison,
+        StrategyResult,
     };
     pub use han_core::feeder::{
         ConvergenceCriterion, ConvergenceTrace, FeederPolicy, FeederReport, FeederSignal,
