@@ -674,10 +674,17 @@ fn decode_cp(d: &mut Dec<'_>) -> Result<CpExport, CheckpointError> {
     };
     let packet = if d.bool()? {
         let mut items = Vec::new();
-        for _ in 0..d.len()? {
+        let stores = d.len()?;
+        for _ in 0..stores {
             let mut store = Vec::new();
             for _ in 0..d.len()? {
+                let offset = d.pos;
                 let origin = d.u32()?;
+                // Item stores are dense by origin, one slot per node: an
+                // origin beyond the network would size that table.
+                if origin as usize >= stores {
+                    return Err(CheckpointError::BadValue { offset });
+                }
                 let seq = d.u32()?;
                 let len = d.len()?;
                 let payload = d.take(len)?.to_vec();
@@ -1006,6 +1013,18 @@ mod tests {
                 "cut at {cut}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn item_origin_beyond_the_network_is_typed() {
+        let mut state = sample_state();
+        let packet = state.cp.packet.as_mut().expect("sample has packet state");
+        packet.items[1].push((2, 1, vec![9]));
+        let bytes = Checkpoint { state }.to_bytes();
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::BadValue { .. })
+        ));
     }
 
     #[test]

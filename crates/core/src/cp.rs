@@ -734,6 +734,13 @@ impl CommunicationPlane {
         self.store.rows()
     }
 
+    /// Delivers `origin`'s record of the round in flight to `node`.
+    fn deliver_pending(&mut self, node: usize, origin: usize) {
+        self.delivery.push(self.pending[origin]);
+        self.last_refresh[node * self.device_count + origin] = self.round_index;
+        self.round_refreshed += 1;
+    }
+
     /// Applies the round's delivery to view row `row` — the per-node
     /// record refresh. Call with `row` in `0..delivery_rows()`, in order:
     /// the lossy models draw their loss coin(s) here, so row order *is*
@@ -769,15 +776,11 @@ impl CommunicationPlane {
                 let node = row;
                 self.delivery.clear();
                 if outage || self.down[node] {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
+                    self.deliver_pending(node, node);
                 } else {
                     for origin in 0..n {
                         if origin == node || !self.down[origin] {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
+                            self.deliver_pending(node, origin);
                         }
                     }
                 }
@@ -788,20 +791,14 @@ impl CommunicationPlane {
                 self.delivery.clear();
                 if outage || self.down[node] {
                     // Faulted: no loss coin — the node is not listening.
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
+                    self.deliver_pending(node, node);
                 } else if self.rng.gen_bool(*miss_probability) {
                     // Missed the round entirely; own record still local.
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
+                    self.deliver_pending(node, node);
                 } else {
                     for origin in 0..n {
                         if origin == node || !self.down[origin] {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
+                            self.deliver_pending(node, origin);
                         }
                     }
                 }
@@ -812,9 +809,7 @@ impl CommunicationPlane {
                 let node = row;
                 self.delivery.clear();
                 if outage || self.down[node] {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
+                    self.deliver_pending(node, node);
                 } else {
                     for origin in 0..n {
                         if origin != node && self.down[origin] {
@@ -822,9 +817,7 @@ impl CommunicationPlane {
                             continue;
                         }
                         if origin == node || !self.rng.gen_bool(p) {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
+                            self.deliver_pending(node, origin);
                         }
                     }
                 }
@@ -859,15 +852,11 @@ impl CommunicationPlane {
                 });
                 self.delivery.clear();
                 if outage || self.down[node] || missed {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
+                    self.deliver_pending(node, node);
                 } else {
                     for origin in 0..n {
                         if origin == node || !self.down[origin] {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
+                            self.deliver_pending(node, origin);
                         }
                     }
                 }
@@ -892,9 +881,7 @@ impl CommunicationPlane {
                 let node = row;
                 self.delivery.clear();
                 if outage || self.down[node] {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
+                    self.deliver_pending(node, node);
                 } else {
                     // `origin` indexes three parallel structures (seqs, the
                     // last-seen matrix, the refresh matrix); an iterator

@@ -70,7 +70,11 @@ pub enum SlotOutcome {
 /// Tunable parameters of the concurrent-reception model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaptureConfig {
-    /// Maximum start-time spread for constructive interference (default 0.5 µs).
+    /// Maximum start-time spread for constructive interference (default
+    /// 1 µs). Physically the bound is about half a chip period (≈ 0.5 µs),
+    /// but the flood model draws transmit offsets in whole microseconds,
+    /// so 1 µs is the tightest window that still admits one tick of
+    /// relative jitter.
     pub ci_window: SimDuration,
     /// Power gain applied to the strongest signal when identical frames
     /// overlap constructively (default +1 dB, conservative).

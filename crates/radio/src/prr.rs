@@ -40,18 +40,37 @@ pub fn bit_error_rate(gamma: f64) -> f64 {
     ((8.0 / 15.0) * (1.0 / 16.0) * sum).clamp(0.0, 0.5)
 }
 
+/// Bit error rate of a link at the given signal and
+/// noise-plus-interference levels: the transcendental half of
+/// [`packet_reception_rate`], independent of the frame size.
+///
+/// Returns 1 (every bit lost) if the signal is below receiver
+/// sensitivity: the radio cannot lock onto it.
+pub fn link_ber(signal: Dbm, noise_and_interference: Dbm) -> f64 {
+    if signal < phy::SENSITIVITY {
+        return 1.0;
+    }
+    let snr_db = signal - noise_and_interference;
+    bit_error_rate(10f64.powf(snr_db / 10.0))
+}
+
+/// Packet reception rate of a frame of `frame_bytes` bytes over a link
+/// with bit error rate `ber` (see [`link_ber`]).
+pub fn prr_from_ber(ber: f64, frame_bytes: usize) -> f64 {
+    (1.0 - ber).powi((8 * frame_bytes) as i32)
+}
+
 /// Packet reception rate for a frame of `frame_bytes` bytes at the given
 /// signal and noise-plus-interference levels.
 ///
-/// Returns 0 if the signal is below receiver sensitivity.
+/// Returns 0 if the signal is below receiver sensitivity. For any
+/// non-empty frame this equals `prr_from_ber(link_ber(signal, noise),
+/// frame_bytes)` bit for bit, so a caller may cache the BER per link.
 pub fn packet_reception_rate(signal: Dbm, noise_and_interference: Dbm, frame_bytes: usize) -> f64 {
     if signal < phy::SENSITIVITY {
         return 0.0;
     }
-    let snr_db = signal - noise_and_interference;
-    let gamma = 10f64.powf(snr_db / 10.0);
-    let ber = bit_error_rate(gamma);
-    (1.0 - ber).powi((8 * frame_bytes) as i32)
+    prr_from_ber(link_ber(signal, noise_and_interference), frame_bytes)
 }
 
 /// Convenience wrapper: PRR against the thermal noise floor only.
@@ -119,6 +138,24 @@ mod tests {
         let jammed = packet_reception_rate(sig, Dbm(-77.0), FRAME);
         assert!(clean > 0.999);
         assert!(jammed < 0.05, "jammed={jammed}");
+    }
+
+    #[test]
+    fn split_prr_is_bit_equal_to_the_direct_formula() {
+        let noises = [-120.0, -98.0, -95.5, -90.0, -77.0, -60.0];
+        for tenth_db in (-1050..=-400).step_by(7) {
+            let signal = Dbm(f64::from(tenth_db) / 10.0);
+            for &noise in &noises {
+                let ber = link_ber(signal, Dbm(noise));
+                for frame in [1, 7, 20, 33, 60, 64, 100, 127] {
+                    assert_eq!(
+                        prr_from_ber(ber, frame).to_bits(),
+                        packet_reception_rate(signal, Dbm(noise), frame).to_bits(),
+                        "signal {signal} noise {noise} frame {frame}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

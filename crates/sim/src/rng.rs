@@ -190,16 +190,23 @@ impl DetRng {
         -(1.0 - self.next_f64()).ln() / rate
     }
 
-    /// Samples a standard normal variate (Box–Muller, polar form).
-    pub fn gen_standard_normal(&mut self) -> f64 {
+    /// A point `(u, s = u² + v²)` drawn uniformly inside the unit disk:
+    /// the input of the polar Box–Muller transform.
+    fn polar_point(&mut self) -> (f64, f64) {
         loop {
             let u = 2.0 * self.next_f64() - 1.0;
             let v = 2.0 * self.next_f64() - 1.0;
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
+                return (u, s);
             }
         }
+    }
+
+    /// Samples a standard normal variate (Box–Muller, polar form).
+    pub fn gen_standard_normal(&mut self) -> f64 {
+        let (u, s) = self.polar_point();
+        u * (-2.0 * s.ln() / s).sqrt()
     }
 
     /// Samples a normal variate with the given mean and standard deviation.
@@ -210,6 +217,26 @@ impl DetRng {
     pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "standard deviation must be non-negative");
         mean + std_dev * self.gen_standard_normal()
+    }
+
+    /// `gen_normal(0.0, std_dev).abs()` — the same draws and, when
+    /// returned, the same value — or `None` when the polar point alone
+    /// proves that value below `bound`, skipping the `ln` and `sqrt`.
+    /// For callers that only need to know a half-normal draw is small.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `std_dev` is negative.
+    pub fn gen_abs_normal_unless_below(&mut self, std_dev: f64, bound: f64) -> Option<f64> {
+        assert!(std_dev >= 0.0, "standard deviation must be non-negative");
+        let (u, s) = self.polar_point();
+        // -ln s ≤ (1 − s)/s, so z² = u²·(−2 ln s)/s ≤ 2u²(1 − s)/s²; the
+        // 2% slack on `bound` absorbs every rounding error.
+        let slack = 0.98 * bound;
+        if 2.0 * u * u * (1.0 - s) * std_dev * std_dev < slack * slack * s * s {
+            return None;
+        }
+        Some((0.0 + std_dev * (u * (-2.0 * s.ln() / s).sqrt())).abs())
     }
 
     /// The raw xoshiro256++ state, for checkpoint/restore of a running
@@ -337,6 +364,27 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn zero_bound_panics() {
         DetRng::new(1).gen_range_u64(0);
+    }
+
+    #[test]
+    fn abs_normal_pretest_is_exact() {
+        for (std_dev, bound) in [(0.0, 500.0), (200.0, 500.0), (2000.0, 500.0), (1.0, 2.5)] {
+            let mut fast = DetRng::new(17);
+            let mut slow = DetRng::new(17);
+            let mut skipped = 0;
+            for _ in 0..200_000 {
+                let exact = slow.gen_normal(0.0, std_dev).abs();
+                match fast.gen_abs_normal_unless_below(std_dev, bound) {
+                    None => {
+                        skipped += 1;
+                        assert!(exact < bound, "σ {std_dev}: {exact} skipped");
+                    }
+                    Some(value) => assert_eq!(value.to_bits(), exact.to_bits()),
+                }
+                assert_eq!(fast.state(), slow.state());
+            }
+            assert!(skipped > 0, "σ {std_dev}: the pre-test never fired");
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl StConfig {
         let max = self.max_nodes_per_round();
         if n > max {
             return Err(format!(
-                "{n} nodes need {} of airtime but the {} round fits only {max}                  data phases",
+                "{n} nodes need {} of airtime but the {} round fits only {max} data phases",
                 self.phase_duration() * (n as u64 + 1),
                 self.round_period
             ));
@@ -144,6 +144,14 @@ mod tests {
         assert!(cfg.check_fits_round(49).is_ok());
         let err = cfg.check_fits_round(50).unwrap_err();
         assert!(err.contains("50 nodes"), "{err}");
+    }
+
+    #[test]
+    fn round_overrun_message_is_exact() {
+        assert_eq!(
+            StConfig::default().check_fits_round(50).unwrap_err(),
+            "50 nodes need 2.040s of airtime but the 2.000s round fits only 49 data phases"
+        );
     }
 
     #[test]

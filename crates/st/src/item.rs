@@ -8,7 +8,6 @@
 
 use bytes::Bytes;
 use han_net::NodeId;
-use std::collections::BTreeMap;
 
 /// Serialized per-item header overhead on air: origin (1 B), sequence (2 B),
 /// payload length (1 B).
@@ -63,9 +62,13 @@ impl Item {
 }
 
 /// Per-node store of the freshest item per origin.
+///
+/// Dense: slot `i` holds origin `i`'s item, so lookups and merges index
+/// instead of searching, and iteration is in origin order. Origins are
+/// node indices, so the table is no longer than the network.
 #[derive(Debug, Clone, Default)]
 pub struct ItemStore {
-    items: BTreeMap<NodeId, Item>,
+    items: Vec<Option<Item>>,
 }
 
 impl ItemStore {
@@ -77,10 +80,14 @@ impl ItemStore {
     /// Merges an item, keeping it only if it is newer than what is stored
     /// for its origin. Returns `true` if the store changed.
     pub fn merge(&mut self, item: &Item) -> bool {
-        match self.items.get(&item.origin) {
+        let slot = item.origin.index();
+        if slot >= self.items.len() {
+            self.items.resize(slot + 1, None);
+        }
+        match &mut self.items[slot] {
             Some(existing) if existing.seq >= item.seq => false,
-            _ => {
-                self.items.insert(item.origin, item.clone());
+            stored => {
+                *stored = Some(item.clone());
                 true
             }
         }
@@ -94,37 +101,37 @@ impl ItemStore {
 
     /// Returns the stored item for `origin`, if any.
     pub fn get(&self, origin: NodeId) -> Option<&Item> {
-        self.items.get(&origin)
+        self.items.get(origin.index())?.as_ref()
     }
 
     /// Returns the stored sequence number for `origin`, if any.
     pub fn seq_of(&self, origin: NodeId) -> Option<u32> {
-        self.items.get(&origin).map(|i| i.seq)
+        self.get(origin).map(|i| i.seq)
     }
 
     /// Number of distinct origins stored.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.iter().count()
     }
 
     /// Whether the store holds no items.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Iterates stored items in origin order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &Item> {
-        self.items.values()
+        self.items.iter().flatten()
     }
 
     /// Returns the origins stored, in ascending order.
     pub fn origins(&self) -> Vec<NodeId> {
-        self.items.keys().copied().collect()
+        self.iter().map(|item| item.origin).collect()
     }
 
     /// Whether the store holds an item from every node in `0..n`.
     pub fn covers_all(&self, n: usize) -> bool {
-        self.items.len() == n && self.items.keys().enumerate().all(|(i, k)| k.index() == i)
+        self.len() == n && self.items.iter().take(n).all(Option::is_some)
     }
 
     /// Removes everything.

@@ -21,7 +21,7 @@
 //! and reports coverage, reliability and radio cost.
 
 use crate::config::StConfig;
-use crate::glossy::{self, FloodOutcome};
+use crate::glossy::{self, FloodScratch};
 use crate::item::{Item, ItemStore};
 use han_net::NodeId;
 use han_radio::phy;
@@ -80,11 +80,13 @@ impl RoundReport {
 
 /// Reusable working memory for [`run_round_with`].
 ///
-/// The aggregate/origins buffers are rebuilt once per *phase* (n + 1
-/// times per round), so reusing them is the real win; the per-node tally
-/// vectors are handed off into the returned [`RoundReport`] (whose
-/// per-node vectors are the function's product and necessarily fresh)
-/// and regrown on the next reset. Item clones into the aggregate are
+/// The aggregate/origins buffers and the flood kernel's scratch are
+/// rebuilt once per *phase* (n + 1 times per round), so reusing them is
+/// the real win (the flood scratch also keeps its per-link reception
+/// caches across rounds); the per-node tally vectors are handed off into
+/// the returned [`RoundReport`] (whose per-node vectors are the
+/// function's product and necessarily fresh) and regrown on the next
+/// reset. Item clones into the aggregate are
 /// cheap: payloads are refcounted [`Bytes`], so "cloning" an item copies
 /// a pointer, never the payload.
 ///
@@ -100,6 +102,8 @@ pub struct RoundScratch {
     synced: Vec<bool>,
     /// Flood phases executed so far in the round in flight.
     phases: usize,
+    /// The flood kernel's buffers and per-link reception caches.
+    flood: FloodScratch,
 }
 
 impl RoundScratch {
@@ -115,15 +119,34 @@ impl RoundScratch {
         self.synced.clear();
         self.phases = 0;
     }
-}
 
-/// Folds one flood's radio tallies into the round-in-flight scratch.
-fn absorb(out: &FloodOutcome, scratch: &mut RoundScratch, frame_payload: usize) {
-    let air = phy::air_time(frame_payload).expect("aggregate exceeds frame");
-    for i in 0..out.tx_count.len() {
-        scratch.tx_count[i] += out.tx_count[i];
-        scratch.listen_slots[i] += out.listen_slots[i];
-        scratch.tx_air[i] += air * u64::from(out.tx_count[i]);
+    /// Floods one frame through the kernel scratch (its outcome stays in
+    /// `self.flood`) and folds its radio tallies into the round in flight.
+    fn flood_and_absorb(
+        &mut self,
+        rssi: &[Vec<Dbm>],
+        initiator: NodeId,
+        content_id: u64,
+        frame_payload: usize,
+        config: &StConfig,
+        rng: &mut DetRng,
+    ) {
+        let frame_bytes = phy::frame_bytes(frame_payload).expect("payload fits one frame");
+        let air = phy::air_time(frame_payload).expect("payload fits one frame");
+        let out = glossy::flood_with(
+            rssi,
+            initiator,
+            content_id,
+            frame_bytes,
+            config,
+            rng,
+            &mut self.flood,
+        );
+        for i in 0..out.tx_count.len() {
+            self.tx_count[i] += out.tx_count[i];
+            self.listen_slots[i] += out.listen_slots[i];
+            self.tx_air[i] += air * u64::from(out.tx_count[i]);
+        }
     }
 }
 
@@ -269,16 +292,17 @@ pub fn sync_phase(
     config.validate().expect("invalid ST configuration");
     scratch.reset(rssi.len());
     let beacon_payload = 8;
-    let sync_out = glossy::flood(
+    scratch.flood_and_absorb(
         rssi,
         initiator,
         0x5159_0000 ^ round_index,
-        phy::frame_bytes(beacon_payload).expect("beacon fits"),
+        beacon_payload,
         config,
         rng,
     );
-    absorb(&sync_out, scratch, beacon_payload);
-    scratch.synced.extend_from_slice(&sync_out.received);
+    scratch
+        .synced
+        .extend_from_slice(&scratch.flood.outcome.received);
     scratch.phases = 1;
 }
 
@@ -322,17 +346,10 @@ pub fn data_phase(
     }
     let payload = aggregate_payload_bytes(&scratch.aggregate);
     let content = aggregate_content_key(&scratch.aggregate, round_index, k);
-    let out = glossy::flood(
-        rssi,
-        origin,
-        content,
-        phy::frame_bytes(payload).expect("aggregate fits"),
-        config,
-        rng,
-    );
-    absorb(&out, scratch, payload);
+    scratch.flood_and_absorb(rssi, origin, content, payload, config, rng);
+    let received = &scratch.flood.outcome.received;
     for (node, store) in stores.iter_mut().enumerate() {
-        if out.received[node] && node != origin.index() {
+        if received[node] && node != origin.index() {
             store.merge_all(scratch.aggregate.iter());
         }
     }

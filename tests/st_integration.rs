@@ -128,3 +128,60 @@ fn desynchronized_network_degrades_gracefully() {
         d.mean_reliability()
     );
 }
+
+/// FNV-1a over a byte string: a stable fingerprint for golden output.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn packet_cp_schedule_and_dissemination_are_pinned() {
+    // Golden values recorded on the reference flood implementation: any
+    // radio or ST change that moves a single RNG draw or f64 shows here.
+    let requests = PoissonArrivals::new(30.0, 26).generate(SimDuration::from_mins(20), 3);
+    let outcome = HanSimulation::new(packet_config(Strategy::coordinated(), 20, 3), requests)
+        .unwrap()
+        .run();
+    let d = outcome.cp.dissemination.as_ref().expect("packet stats");
+    let (rounds, all_to_all, reliability_sum, worst, total_tx, radio_on, nodes) = d.raw_parts();
+    let pinned = (
+        outcome.schedule_digest,
+        rounds,
+        all_to_all,
+        reliability_sum.to_bits(),
+        worst.to_bits(),
+        total_tx,
+        radio_on.as_micros(),
+        nodes,
+    );
+    assert_eq!(
+        pinned,
+        (
+            0x4322_31f1_3dc3_3cb4,
+            601,
+            601,
+            601.0f64.to_bits(),
+            1.0f64.to_bits(),
+            843_685,
+            16_006_112_344,
+            26,
+        )
+    );
+}
+
+#[test]
+fn packet_cp_compare_report_is_pinned() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hansim"))
+        .args(["--cp", "packet", "--minutes", "30", "--strategy", "compare"])
+        .output()
+        .expect("hansim binary runs");
+    assert!(out.status.success(), "hansim failed: {out:?}");
+    assert_eq!(
+        (fnv1a(&out.stdout), out.stdout.len()),
+        (0x0b7a_b02c_b01d_88ef, 518),
+        "report drifted:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
